@@ -483,8 +483,7 @@ makeQuadSeeds(std::uint64_t seed)
  * quad (~2.6 KB), write the varyings, one field-decoded interpreter
  * entry per quad. Overhauled shape: a reused QuadState arena reset
  * through the decode-time clear plan, varyings written, then one
- * batched pre-decoded runQuads() entry for the whole arena — the
- * structure of GpuSimulator::flushShadeBatchSerial.
+ * batched pre-decoded runQuads() entry for the whole arena.
  */
 InterpBenchResult
 measureQuadInterp(const shader::Program &program, int passes,

@@ -117,8 +117,17 @@ Device::apply(const Command &cmd)
                  c->vertexBuffer, c->indexBuffer);
             return;
         }
-        if (c->firstIndex + c->indexCount > ib->indices.size()) {
+        // Subtract instead of adding: firstIndex + indexCount can wrap
+        // in 32 bits and pass a sum check.
+        const std::size_t index_total = ib->indices.size();
+        if (c->firstIndex > index_total ||
+            c->indexCount > index_total - c->firstIndex) {
             warn("device: draw range exceeds index buffer");
+            return;
+        }
+        if (c->indexCount > 0 && vb->vertices.empty()) {
+            warn("device: draw from empty vertex buffer %u dropped",
+                 c->vertexBuffer);
             return;
         }
         const shader::Program *vp = program(_current.vertexProgram);

@@ -12,8 +12,8 @@
  * cannot deadlock and never idles the waiter.
  *
  * Determinism contract: the pool only distributes *pure* work; every
- * consumer shards its state per worker slot (see stats/shard.hh) and
- * reduces in submission order, so results are bit-identical for any
+ * consumer shards its state per worker slot and reduces in slot or
+ * submission order, so results are bit-identical for any
  * thread count. See DESIGN.md "Threading model".
  */
 

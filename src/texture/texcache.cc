@@ -1,7 +1,6 @@
 #include "texture/texcache.hh"
 
 #include "common/log.hh"
-#include "common/prof.hh"
 
 namespace wc3d::tex {
 
@@ -49,50 +48,6 @@ TextureCache::invalidate()
 {
     _l0.invalidateAll();
     _l1.invalidateAll();
-}
-
-TextureUnit::TextureUnit(const TexCacheConfig &config,
-                         memsys::MemoryController *memory)
-    : _cache(config, memory)
-{
-    _sampler.setListener(&_cache);
-}
-
-void
-TextureUnit::bind(int unit, const Texture2D *texture, SamplerState state)
-{
-    WC3D_PROF_SCOPE("texture.bind");
-    WC3D_ASSERT(unit >= 0 && unit < shader::kMaxSamplers);
-    _bindings[static_cast<std::size_t>(unit)] = {texture, state};
-}
-
-void
-TextureUnit::unbind(int unit)
-{
-    WC3D_ASSERT(unit >= 0 && unit < shader::kMaxSamplers);
-    _bindings[static_cast<std::size_t>(unit)] = Binding();
-}
-
-const Texture2D *
-TextureUnit::boundTexture(int unit) const
-{
-    WC3D_ASSERT(unit >= 0 && unit < shader::kMaxSamplers);
-    return _bindings[static_cast<std::size_t>(unit)].texture;
-}
-
-void
-TextureUnit::sampleQuad(int sampler, const Vec4 coords[4], float lod_bias,
-                        Vec4 out[4])
-{
-    WC3D_ASSERT(sampler >= 0 && sampler < shader::kMaxSamplers);
-    const Binding &b = _bindings[static_cast<std::size_t>(sampler)];
-    if (!b.texture) {
-        // Unbound unit: sample opaque black, like a disabled stage.
-        for (int l = 0; l < 4; ++l)
-            out[l] = {0.0f, 0.0f, 0.0f, 1.0f};
-        return;
-    }
-    _sampler.sampleQuad(*b.texture, b.state, coords, lod_bias, out);
 }
 
 } // namespace wc3d::tex

@@ -6,19 +6,13 @@
  * in the decompressed (virtual) address space; an L0 miss accesses L1
  * in the compressed address space; an L1 miss reads one line from GDDR,
  * charged to the Texture client.
- *
- * Also provides TextureUnit, the bridge from shader TEX instructions to
- * the sampler + cache.
  */
 
 #ifndef WC3D_TEXTURE_TEXCACHE_HH
 #define WC3D_TEXTURE_TEXCACHE_HH
 
-#include <array>
-
 #include "memory/cache.hh"
 #include "memory/controller.hh"
-#include "shader/interp.hh"
 #include "texture/sampler.hh"
 
 namespace wc3d::tex {
@@ -61,44 +55,6 @@ class TextureCache : public TexelAccessListener
     memsys::CacheModel _l0;
     memsys::CacheModel _l1;
     memsys::MemoryController *_memory;
-};
-
-/**
- * Texture unit: holds per-unit (texture, sampler-state) bindings and
- * services shader texture instructions through a Sampler and the cache.
- */
-class TextureUnit : public shader::TextureSampleHandler
-{
-  public:
-    TextureUnit(const TexCacheConfig &config,
-                memsys::MemoryController *memory);
-
-    /** Bind @p texture with @p state to sampler slot @p unit. */
-    void bind(int unit, const Texture2D *texture, SamplerState state);
-
-    /** Remove the binding of slot @p unit. */
-    void unbind(int unit);
-
-    const Texture2D *boundTexture(int unit) const;
-
-    void sampleQuad(int sampler, const Vec4 coords[4], float lod_bias,
-                    Vec4 out[4]) override;
-
-    Sampler &sampler() { return _sampler; }
-    TextureCache &cache() { return _cache; }
-    const Sampler &sampler() const { return _sampler; }
-    const TextureCache &cache() const { return _cache; }
-
-  private:
-    struct Binding
-    {
-        const Texture2D *texture = nullptr;
-        SamplerState state;
-    };
-
-    std::array<Binding, shader::kMaxSamplers> _bindings;
-    TextureCache _cache;
-    Sampler _sampler;
 };
 
 } // namespace wc3d::tex

@@ -151,6 +151,33 @@ TEST(Device, DrawRangeValidation)
     EXPECT_TRUE(f.sink.draws.empty());
     f.dev.draw(f.vb, 7777, 0, 3, geom::PrimitiveType::TriangleList);
     EXPECT_TRUE(f.sink.draws.empty());
+    // firstIndex + indexCount wraps to 0 in 32 bits; both orders must
+    // still be rejected rather than reading indices[0xFFFFFFFF].
+    f.dev.draw(f.vb, f.ib, 0xFFFFFFFFu, 1,
+               geom::PrimitiveType::TriangleList);
+    EXPECT_TRUE(f.sink.draws.empty());
+    f.dev.draw(f.vb, f.ib, 1, 0xFFFFFFFFu,
+               geom::PrimitiveType::TriangleList);
+    EXPECT_TRUE(f.sink.draws.empty());
+    EXPECT_EQ(f.dev.stats().batches(), 0u);
+    // The exact end of the buffer is still in range.
+    f.dev.draw(f.vb, f.ib, 1, 2, geom::PrimitiveType::TriangleList);
+    EXPECT_EQ(f.sink.draws.size(), 1u);
+}
+
+TEST(Device, DrawFromEmptyVertexBufferDropped)
+{
+    // A vertex count of 0 is a valid resource, but no index can
+    // address it: the simulator's out-of-range clamp would read
+    // vertices[size() - 1] = vertices[0xFFFFFFFF].
+    Fixture f;
+    auto empty_vb = f.dev.createVertexBuffer(smallVb(0));
+    f.dev.draw(empty_vb, f.ib, 0, 3, geom::PrimitiveType::TriangleList);
+    EXPECT_TRUE(f.sink.draws.empty());
+    EXPECT_EQ(f.dev.stats().batches(), 0u);
+    // An empty draw reads no vertex, so it still goes through.
+    f.dev.draw(empty_vb, f.ib, 0, 0, geom::PrimitiveType::TriangleList);
+    EXPECT_EQ(f.sink.draws.size(), 1u);
 }
 
 TEST(Device, StateTracking)

@@ -1,23 +1,25 @@
 /**
  * @file
- * Tests for the parallel execution layer: thread-pool semantics,
- * per-slot sharding, and the headline determinism contract — a full
- * simulated game produces bit-identical statistics at WC3D_THREADS=1
- * and WC3D_THREADS=4.
+ * Tests for the parallel execution layer: thread-pool semantics, the
+ * headline determinism contract — a full simulated game produces
+ * bit-identical statistics at every WC3D_THREADS and WC3D_TILE_SIZE —
+ * and the committed golden statistics those runs must reproduce.
  */
 
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/fs.hh"
 #include "common/threadpool.hh"
 #include "core/runner.hh"
 #include "shader/jit/jit.hh"
-#include "stats/shard.hh"
 #include "workloads/games.hh"
 
 using namespace wc3d;
@@ -72,23 +74,6 @@ TEST(ThreadPool, NestedGroupsDoNotDeadlock)
     EXPECT_EQ(total.load(), 8 * 50);
 }
 
-TEST(ThreadPool, ShardsReduceInSlotOrder)
-{
-    ThreadPool pool(4);
-    stats::ShardSet<std::vector<std::size_t>> shards(pool);
-    ASSERT_EQ(shards.size(), 4);
-    parallelFor(pool, 400, [&shards](int slot, std::size_t i) {
-        shards.shard(slot).push_back(i);
-    });
-    auto sum = shards.reduce(std::size_t{0},
-                             [](std::size_t &acc,
-                                const std::vector<std::size_t> &s) {
-                                 for (std::size_t v : s)
-                                     acc += v;
-                             });
-    EXPECT_EQ(sum, 400u * 399u / 2);
-}
-
 TEST(ThreadPool, ConfiguredThreadsHonoursEnvironment)
 {
     setenv("WC3D_THREADS", "3", 1);
@@ -122,13 +107,12 @@ expectCacheEqual(const memsys::CacheStats &a, const memsys::CacheStats &b,
 
 /**
  * Assert two runs of the same workload are bit-identical: every
- * counter, every cache model, and (when @p compare_traffic) every
- * per-client traffic byte and per-frame series sample.
+ * counter, every cache model, every per-client traffic byte and every
+ * per-frame series sample.
  */
 void
 expectRunsBitIdentical(const MicroRun &run, const MicroRun &ref,
-                       const std::string &label,
-                       bool compare_traffic = true)
+                       const std::string &label)
 {
     SCOPED_TRACE(label);
     const gpu::PipelineCounters &a = run.counters;
@@ -165,9 +149,6 @@ expectRunsBitIdentical(const MicroRun &run, const MicroRun &ref,
     expectCacheEqual(run.colorCache, ref.colorCache, "color cache");
     expectCacheEqual(run.texL0, ref.texL0, "tex L0");
     expectCacheEqual(run.texL1, ref.texL1, "tex L1");
-
-    if (!compare_traffic)
-        return;
 
     // Per-client memory traffic, byte for byte.
     for (int i = 0; i < memsys::kNumClients; ++i) {
@@ -221,29 +202,78 @@ TEST(Determinism, TiledBitIdenticalAcrossThreadsAndTileSizes)
     }
 }
 
-TEST(Determinism, TiledMatchesLegacyBackEndEventCounts)
+namespace {
+
+/** Whole file as a string; empty when it cannot be read. */
+std::string
+readText(const std::string &path)
 {
-    // The legacy shard-and-resolve back-end must agree with the tiled
-    // one on every event count and cache hit/miss stream. Traffic
-    // BYTES are excluded: the tiled path analyses writeback
-    // compressibility at end-of-draw word state, the legacy path
-    // mid-draw, so block encodings (not event counts) can differ.
-    MicroRun tiled = simulateAt(1);
-    setenv("WC3D_TILED", "0", 1);
-    MicroRun legacy = simulateAt(1);
-    unsetenv("WC3D_TILED");
-    expectRunsBitIdentical(tiled, legacy, "tiled vs legacy back-end",
-                           /*compare_traffic=*/false);
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
 }
 
-TEST(Determinism, LegacyRunIsBitIdenticalToSequential)
+/** "line N: expected '...', got '...'" for the first differing line. */
+std::string
+firstDifference(const std::string &expected, const std::string &actual)
 {
-    setenv("WC3D_TILED", "0", 1);
-    MicroRun serial = simulateAt(1);
-    MicroRun parallel = simulateAt(4);
-    unsetenv("WC3D_TILED");
-    expectRunsBitIdentical(parallel, serial,
-                           "legacy 4 threads vs 1 thread");
+    std::istringstream e(expected), a(actual);
+    std::string le, la;
+    for (int line = 1;; ++line) {
+        bool have_e = static_cast<bool>(std::getline(e, le));
+        bool have_a = static_cast<bool>(std::getline(a, la));
+        if (!have_e && !have_a)
+            return "trailing bytes differ";
+        if (!have_e || !have_a || le != la) {
+            return "line " + std::to_string(line) + ": expected '" +
+                   (have_e ? le : "<eof>") + "', got '" +
+                   (have_a ? la : "<eof>") + "'";
+        }
+    }
+}
+
+} // namespace
+
+TEST(Determinism, GoldenStatistics)
+{
+    // Absolute pin of every statistic the run cache stores (counters,
+    // cache models, per-client traffic bytes, per-frame series) for the
+    // three simulated games. The files were recorded at 1 thread; the
+    // statistics are thread-invariant, so the run uses WC3D_THREADS and
+    // the pin holds under every thread count the suite runs at. To
+    // accept an intended change, copy the file written under the build
+    // tree over the committed one.
+    const char *ids[] = {"doom3/trdemo2", "quake4/demo4",
+                         "ut2004/primeval"};
+    ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
+    for (const char *id : ids) {
+        std::string name = std::string(id) + "_f2_256x192.txt";
+        for (char &c : name)
+            if (c == '/')
+                c = '_';
+        const std::string golden_path =
+            std::string(WC3D_GOLDEN_DIR) + "/" + name;
+        const std::string expected = readText(golden_path);
+
+        MicroRun run = runMicroarch(id, 2, 256, 192,
+                                    /*allow_cache=*/false);
+        const std::string actual = encodeMicroRun(run);
+        if (actual == expected)
+            continue;
+
+        const std::string actual_path =
+            std::string(WC3D_GOLDEN_ACTUAL_DIR) + "/" + name;
+        std::string error;
+        if (!makeDirs(WC3D_GOLDEN_ACTUAL_DIR) ||
+            !atomicWriteFile(actual_path, actual, &error))
+            ADD_FAILURE() << "cannot write " << actual_path << ": "
+                          << error;
+        ADD_FAILURE() << id << " differs from " << golden_path << " at "
+                      << firstDifference(expected, actual)
+                      << "; actual text written to " << actual_path;
+    }
+    ThreadPool::setGlobalThreads(1);
 }
 
 TEST(Determinism, JitMatchesDecodedAcrossAllTimedemos)

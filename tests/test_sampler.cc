@@ -259,36 +259,3 @@ TEST(TexCache, InvalidateDropsResidency)
     cache.blockAccess(t, 0, 0, 0, 1);
     EXPECT_EQ(cache.l0Stats().misses, 1u);
 }
-
-TEST(TextureUnit, ShaderTexSamplesBoundTexture)
-{
-    memsys::MemoryController mc;
-    TextureUnit unit(TexCacheConfig{}, &mc);
-    Texture2D t = flatTexture({200, 100, 50, 255});
-    t.bindMemory(mc);
-    SamplerState st;
-    st.filter = TexFilter::Bilinear;
-    unit.bind(2, &t, st);
-    EXPECT_EQ(unit.boundTexture(2), &t);
-
-    Vec4 coords[4];
-    quadCoords(coords, {0.5f, 0.5f}, {1.0f / 64, 0}, {0, 1.0f / 64});
-    Vec4 out[4];
-    unit.sampleQuad(2, coords, 0.0f, out);
-    EXPECT_NEAR(out[0].x, 200.0f / 255.0f, 0.02f);
-    EXPECT_GT(unit.sampler().stats().requests, 0u);
-    EXPECT_GT(mc.traffic().totalRead(), 0u);
-}
-
-TEST(TextureUnit, UnboundUnitReturnsBlack)
-{
-    TextureUnit unit(TexCacheConfig{}, nullptr);
-    Vec4 coords[4] = {};
-    Vec4 out[4];
-    unit.sampleQuad(0, coords, 0.0f, out);
-    EXPECT_FLOAT_EQ(out[0].x, 0.0f);
-    EXPECT_FLOAT_EQ(out[0].w, 1.0f);
-    unit.bind(0, nullptr, SamplerState{});
-    unit.unbind(0);
-    EXPECT_EQ(unit.boundTexture(0), nullptr);
-}
