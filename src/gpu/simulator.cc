@@ -189,15 +189,17 @@ struct GpuSimulator::TileOutput
         std::uint8_t kind = 0;    ///< 0 read, 1 write, 2 no-fetch write
     };
 
-    /** One deferred texture-cache block access. */
+    /**
+     * One deferred texture-cache block access, its L0 (decompressed)
+     * and L1 (compressed) addresses already resolved by the worker.
+     */
     struct TexEvent
     {
-        const tex::Texture2D *texture = nullptr;
-        std::int32_t level = 0;
-        std::int32_t bx = 0;
-        std::int32_t by = 0;
+        std::uint64_t vaddr = 0;
+        std::uint64_t maddr = 0;
         std::int32_t refs = 0;
     };
+    static_assert(sizeof(TexEvent) <= 24, "TexEvent grew past 24 bytes");
 
     /**
      * One processed quad that logged at least one deferred access. Per
@@ -240,6 +242,15 @@ struct GpuSimulator::TileOutput
         tex.clear();
         cursor = 0;
     }
+};
+
+/** Merge-phase read position in one tile's record run for a primitive. */
+struct GpuSimulator::MergeCursor
+{
+    std::uint32_t key;  ///< traversal key of the record at rec
+    std::uint32_t rec;
+    std::uint32_t end;
+    TileOutput *out;
 };
 
 /**
@@ -333,7 +344,8 @@ struct GpuSimulator::TileExec final : shader::TextureSampleHandler,
     blockAccess(const tex::Texture2D &texture, int level, int bx, int by,
                 int refs) override
     {
-        out->tex.push_back({&texture, level, bx, by, refs});
+        out->tex.push_back({texture.blockVirtualAddress(level, bx, by),
+                            texture.blockMemAddress(level, bx, by), refs});
     }
 };
 
@@ -801,17 +813,10 @@ GpuSimulator::mergeTileResults()
     // ascending). The shared models and the memory controller therefore
     // see the exact sequential access stream, independent of thread
     // count and tile size.
-    struct MergeCursor
-    {
-        std::uint32_t key;
-        std::uint32_t rec;
-        std::uint32_t end;
-        TileOutput *out;
-    };
     auto later = [](const MergeCursor &a, const MergeCursor &b) {
         return a.key > b.key; // min-heap on key
     };
-    std::vector<MergeCursor> cursors;
+    std::vector<MergeCursor> &cursors = _mergeCursors;
 
     for (std::size_t seq = 0; seq < _tiledTris.size(); ++seq) {
         const TiledTri &tt = _tiledTris[seq];
@@ -875,7 +880,7 @@ GpuSimulator::replayQuadRec(const TileOutput &out, std::size_t rec)
     }
     for (std::uint32_t i = 0; i < r.texCount; ++i) {
         const TileOutput::TexEvent &e = out.tex[r.texBegin + i];
-        _texCache.blockAccess(*e.texture, e.level, e.bx, e.by, e.refs);
+        _texCache.access(e.vaddr, e.maddr, e.refs);
     }
 }
 

@@ -118,6 +118,7 @@ class GpuSimulator : public api::DrawSink
     struct TiledTri;     ///< binned triangle (setup + facing + tile range)
     struct TileOutput;   ///< per-tile quad stream + deferred access logs
     struct TileExec;     ///< per-slot tile-worker execution state
+    struct MergeCursor;  ///< merge-phase position in one tile's run
 
     /** Outcome of the Hierarchical-Z stage for one quad. */
     enum class HzOutcome : std::uint8_t { Culled, Accepted, Pass };
@@ -185,6 +186,7 @@ class GpuSimulator : public api::DrawSink
     std::vector<TileOutput> _tileOut;   ///< one per screen tile (lazy)
     std::vector<std::uint32_t> _activeTiles; ///< non-empty bins, ascending
     std::vector<std::unique_ptr<TileExec>> _tileExec; ///< per worker slot
+    std::vector<MergeCursor> _mergeCursors; ///< one primitive's merge heap
 };
 
 } // namespace wc3d::gpu

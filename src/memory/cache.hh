@@ -14,13 +14,6 @@
 
 namespace wc3d::memsys {
 
-/** Replacement policies supported by CacheModel. */
-enum class Replacement
-{
-    LRU,
-    FIFO,
-};
-
 /** Outcome of a cache access, including any victim writeback. */
 struct CacheAccessResult
 {
@@ -51,11 +44,18 @@ struct CacheStats
 };
 
 /**
- * A set-associative, write-back, write-allocate cache tag model.
+ * A set-associative, write-back, write-allocate cache tag model with
+ * exact LRU replacement.
  *
  * Geometry follows the paper's Table XIV notation: "64w x 256B" is a
  * 64-way single-set (fully associative) cache of 256-byte lines;
  * "16w x 16s x 64B" is 16 ways x 16 sets of 64-byte lines.
+ *
+ * Every access is O(1) in the associativity: an open-addressing table
+ * maps a resident line number to its way, and each set keeps its ways
+ * on a doubly linked recency list (most recent at the head). A hit
+ * moves its way to the head; a miss fills the set's ways in order
+ * 0, 1, 2, ... and, once the set is full, evicts the tail.
  */
 class CacheModel
 {
@@ -64,33 +64,36 @@ class CacheModel
      * @param ways      associativity (> 0)
      * @param sets      number of sets (power of two)
      * @param line_size line size in bytes (power of two)
-     * @param policy    replacement policy
      */
-    CacheModel(int ways, int sets, int line_size,
-               Replacement policy = Replacement::LRU);
+    CacheModel(int ways, int sets, int line_size);
 
     /**
-     * Access @p address. On a miss the LRU/FIFO victim is evicted and the
-     * line containing the address is installed. @p is_write marks the line
+     * Access @p address. On a miss the least recently used line of the
+     * set is evicted (or the next unfilled way taken) and the line
+     * containing the address is installed. @p is_write marks the line
      * dirty on hit or after fill.
      */
     CacheAccessResult access(std::uint64_t address, bool is_write);
 
     /** @return true when the line holding @p address is resident. */
-    bool contains(std::uint64_t address) const;
+    bool
+    contains(std::uint64_t address) const
+    {
+        return find(address >> _lineShift) != kNone;
+    }
 
     /**
      * Write back every dirty line (end-of-frame flush), invoking
-     * @p writeback_cb with each dirty line address. Lines stay resident
-     * but clean.
+     * @p writeback_cb with each dirty line address in way order, set by
+     * set. Lines stay resident but clean.
      */
     template <typename Fn>
     void
     flushDirty(Fn &&writeback_cb)
     {
         for (auto &line : _lines) {
-            if (line.valid && line.dirty) {
-                writeback_cb(line.tag * _lineSize);
+            if (line.dirty) { // ways never filled are never dirty
+                writeback_cb(line.tag << _lineShift);
                 line.dirty = false;
                 ++_stats.writebacks;
             }
@@ -99,9 +102,6 @@ class CacheModel
 
     /** Invalidate everything without writebacks (e.g. after fast clear). */
     void invalidateAll();
-
-    /** Invalidate the line holding @p address if resident (no writeback). */
-    void invalidateLine(std::uint64_t address);
 
     /**
      * Credit @p hits accesses that were filtered before reaching the
@@ -131,23 +131,66 @@ class CacheModel
     }
 
   private:
+    static constexpr std::int32_t kNone = -1;
+
+    /** One way; prev/next link the set's recency list by _lines index. */
     struct Line
     {
-        bool valid = false;
+        std::uint64_t tag = 0;       // full line number (address >> shift)
+        std::int32_t prev = kNone;   // more recently used neighbour
+        std::int32_t next = kNone;   // less recently used neighbour
         bool dirty = false;
-        std::uint64_t tag = 0;     // full line number (address / lineSize)
-        std::uint64_t stamp = 0;   // LRU: last touch; FIFO: install time
     };
 
-    Line *findLine(std::uint64_t line_number);
-    Line &victimLine(std::uint64_t line_number);
+    /** Per-set recency list ends and fill count. */
+    struct SetState
+    {
+        std::int32_t head = kNone;   // most recently used way
+        std::int32_t tail = kNone;   // least recently used way
+        std::int32_t filled = 0;     // ways 0..filled-1 are valid
+    };
+
+    /** Tag-index slot: resident line number -> its _lines index. */
+    struct Slot
+    {
+        std::uint64_t key = 0;
+        std::int32_t line = kNone;   // kNone: empty slot
+    };
+
+    /** Home slot of @p line_number: Fibonacci hashing (top bits). */
+    std::size_t
+    home(std::uint64_t line_number) const
+    {
+        return static_cast<std::size_t>(
+            (line_number * 0x9e3779b97f4a7c15ull) >> _indexShift);
+    }
+
+    std::int32_t
+    find(std::uint64_t line_number) const
+    {
+        for (std::size_t i = home(line_number);; i = (i + 1) & _indexMask) {
+            const Slot &s = _index[i];
+            if (s.line == kNone)
+                return kNone;
+            if (s.key == line_number)
+                return s.line;
+        }
+    }
+
+    void indexInsert(std::uint64_t line_number, std::int32_t line);
+    void indexErase(std::uint64_t line_number);
+    void unlink(SetState &set, std::int32_t line);
+    void pushFront(SetState &set, std::int32_t line);
 
     int _ways;
     int _sets;
     int _lineSize;
-    Replacement _policy;
-    std::uint64_t _tick = 0;
-    std::vector<Line> _lines;
+    int _lineShift;
+    int _indexShift = 0;
+    std::size_t _indexMask = 0;
+    std::vector<Line> _lines;     // set-major: set * ways + way
+    std::vector<SetState> _setState;
+    std::vector<Slot> _index;     // open addressing, linear probing
     CacheStats _stats;
 };
 

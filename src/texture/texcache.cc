@@ -17,7 +17,13 @@ TextureCache::blockAccess(const Texture2D &texture, int level, int bx,
                           int by, int refs)
 {
     WC3D_ASSERT(texture.memoryBound());
-    std::uint64_t vaddr = texture.blockVirtualAddress(level, bx, by);
+    access(texture.blockVirtualAddress(level, bx, by),
+           texture.blockMemAddress(level, bx, by), refs);
+}
+
+void
+TextureCache::access(std::uint64_t vaddr, std::uint64_t maddr, int refs)
+{
     auto r0 = _l0.access(vaddr, false);
     // The quad's further taps of the same block are guaranteed hits;
     // credit them so hit rates use per-tap semantics.
@@ -29,7 +35,6 @@ TextureCache::blockAccess(const Texture2D &texture, int level, int bx,
     // L0 fill: fetch the compressed block through L1. A 4x4 block is at
     // most one L1 line (8/16B DXT, 64B RGBA8), so a single access
     // suffices.
-    std::uint64_t maddr = texture.blockMemAddress(level, bx, by);
     auto r1 = _l1.access(maddr, false);
     if (!r1.hit && _memory)
         _memory->read(memsys::Client::Texture,

@@ -38,8 +38,18 @@ class TextureCache : public TexelAccessListener
     TextureCache(const TexCacheConfig &config,
                  memsys::MemoryController *memory);
 
+    /** Resolve the block's addresses and access(). */
     void blockAccess(const Texture2D &texture, int level, int bx,
                      int by, int refs) override;
+
+    /**
+     * Access one texel block by its resolved addresses: @p vaddr in the
+     * decompressed (L0) space, @p maddr in the compressed (L1) space
+     * (Texture2D::blockVirtualAddress / blockMemAddress). @p refs taps
+     * of the quad referenced the block; all but the first are credited
+     * as L0 hits.
+     */
+    void access(std::uint64_t vaddr, std::uint64_t maddr, int refs);
 
     const memsys::CacheStats &l0Stats() const { return _l0.stats(); }
     const memsys::CacheStats &l1Stats() const { return _l1.stats(); }

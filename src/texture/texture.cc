@@ -120,13 +120,6 @@ Texture2D::buildLevels(const Image &base)
     }
 }
 
-const Texture2D::Level &
-Texture2D::level(int l) const
-{
-    WC3D_ASSERT(l >= 0 && l < levels());
-    return _levels[static_cast<std::size_t>(l)];
-}
-
 int
 Texture2D::levelWidth(int l) const
 {
@@ -167,28 +160,6 @@ Texture2D::bindMemory(memsys::MemoryController &mc)
     _virtBase = mc.allocate(_decodedBytes, 256);
     _memBase = mc.allocate(_storageBytes, 256);
     _memBound = true;
-}
-
-std::uint64_t
-Texture2D::blockVirtualAddress(int l, int bx, int by) const
-{
-    WC3D_ASSERT(_memBound);
-    const Level &lvl = level(l);
-    WC3D_ASSERT(bx >= 0 && bx < lvl.blocksX && by >= 0 && by < lvl.blocksY);
-    std::uint64_t block =
-        static_cast<std::uint64_t>(by) * lvl.blocksX + bx;
-    return _virtBase + lvl.virtOffset + block * kDecodedBlockBytes;
-}
-
-std::uint64_t
-Texture2D::blockMemAddress(int l, int bx, int by) const
-{
-    WC3D_ASSERT(_memBound);
-    const Level &lvl = level(l);
-    WC3D_ASSERT(bx >= 0 && bx < lvl.blocksX && by >= 0 && by < lvl.blocksY);
-    std::uint64_t block =
-        static_cast<std::uint64_t>(by) * lvl.blocksX + bx;
-    return _memBase + lvl.memOffset + block * blockBytes(_format);
 }
 
 Texture2D

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/image.hh"
+#include "common/log.hh"
 #include "common/rng.hh"
 #include "memory/controller.hh"
 #include "texture/format.hh"
@@ -86,10 +87,20 @@ class Texture2D
     bool memoryBound() const { return _memBound; }
 
     /** L0 (virtual/decompressed) address of block (bx, by) at level. */
-    std::uint64_t blockVirtualAddress(int level, int bx, int by) const;
+    std::uint64_t
+    blockVirtualAddress(int l, int bx, int by) const
+    {
+        return _virtBase + level(l).virtOffset +
+               blockIndex(l, bx, by) * kDecodedBlockBytes;
+    }
 
     /** L1/GDDR (stored) address of block (bx, by) at level. */
-    std::uint64_t blockMemAddress(int level, int bx, int by) const;
+    std::uint64_t
+    blockMemAddress(int l, int bx, int by) const
+    {
+        return _memBase + level(l).memOffset +
+               blockIndex(l, bx, by) * blockBytes(_format);
+    }
 
   private:
     struct Level
@@ -104,7 +115,24 @@ class Texture2D
     };
 
     void buildLevels(const Image &base);
-    const Level &level(int l) const;
+
+    const Level &
+    level(int l) const
+    {
+        WC3D_ASSERT(l >= 0 && l < levels());
+        return _levels[static_cast<std::size_t>(l)];
+    }
+
+    /** Row-major index of block (bx, by) within level @p l. */
+    std::uint64_t
+    blockIndex(int l, int bx, int by) const
+    {
+        WC3D_ASSERT(_memBound);
+        const Level &lvl = level(l);
+        WC3D_ASSERT(bx >= 0 && bx < lvl.blocksX && by >= 0 &&
+                    by < lvl.blocksY);
+        return static_cast<std::uint64_t>(by) * lvl.blocksX + bx;
+    }
 
     std::string _name;
     TexFormat _format = TexFormat::RGBA8;
