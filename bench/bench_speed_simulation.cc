@@ -23,10 +23,6 @@
  *    synthetic programs. The resulting decoded-vs-legacy speedup is a
  *    ratio of two measurements from the same binary on the same host,
  *    so it is machine-independent; examples/bench_gate.cpp gates on it.
- *    On x86-64 hosts a third timing runs the same programs through the
- *    native shader JIT (shader/jit/); the jit-vs-decoded ratio lands in
- *    the same "interp" block (jit_seconds / speedup_vs_decoded) and is
- *    gated by WC3D_GATE_MIN_JIT_SPEEDUP.
  *
  * All wall times use bench::stableSeconds (warm-up + min-of-3; see
  * bench_common.hh). Environment: WC3D_SPEED_FRAMES (default 2) and
@@ -45,7 +41,6 @@
 #include "shader/assemble.hh"
 #include "shader/decoded.hh"
 #include "shader/interp.hh"
-#include "shader/jit/jit.hh"
 #include "workloads/shadersynth.hh"
 
 using namespace wc3d;
@@ -360,25 +355,17 @@ class StubTexture : public shader::TextureSampleHandler
     }
 };
 
-/** One legacy/decoded/JIT measurement triple. jitSeconds stays 0 on
- *  hosts where the JIT is unavailable. */
+/** One legacy/decoded measurement pair. */
 struct InterpBenchResult
 {
     double decodedSeconds = 0.0;
     double legacySeconds = 0.0;
-    double jitSeconds = 0.0;
 
     double
     speedup() const
     {
         return decodedSeconds > 0.0 ? legacySeconds / decodedSeconds
                                     : 0.0;
-    }
-
-    double
-    jitSpeedup() const
-    {
-        return jitSeconds > 0.0 ? decodedSeconds / jitSeconds : 0.0;
     }
 };
 
@@ -421,10 +408,6 @@ measureVertexInterp()
             benchmark::DoNotOptimize(lane.outputs[0]);
         }
     });
-    // run() dispatches to the JIT whenever it is enabled, so the
-    // decoded timing must pin it off — otherwise decoded and JIT would
-    // time the identical native kernel and the ratio would read 1.0.
-    shader::jit::setEnabled(false);
     r.decodedSeconds = bench::stableSeconds([&] {
         shader::LaneState lane;
         for (int i = 0; i < kVertexLaneRuns; ++i) {
@@ -437,22 +420,6 @@ measureVertexInterp()
             benchmark::DoNotOptimize(lane.outputs[0]);
         }
     });
-    if (shader::jit::available()) {
-        shader::jit::setEnabled(true);
-        r.jitSeconds = bench::stableSeconds([&] {
-            shader::LaneState lane;
-            for (int i = 0; i < kVertexLaneRuns; ++i) {
-                dec.prepareLane(lane);
-                lane.inputs[0] = position;
-                lane.inputs[1] = normal;
-                lane.inputs[2] = texcoord;
-                lane.inputs[3] = colour;
-                interp.run(program, lane);
-                benchmark::DoNotOptimize(lane.outputs[0]);
-            }
-        });
-    }
-    shader::jit::resetFromEnv();
     return r;
 }
 
@@ -514,7 +481,7 @@ measureQuadInterp(const shader::Program &program, int passes,
         for (int l = 0; l < 4; ++l)
             qs.covered[l] = true;
     }
-    auto quadPass = [&] {
+    r.decodedSeconds = bench::stableSeconds([&] {
         for (int pass = 0; pass < passes; ++pass) {
             for (std::size_t q = 0; q < seeds.size(); ++q) {
                 shader::QuadState &qs = arena[q];
@@ -527,15 +494,7 @@ measureQuadInterp(const shader::Program &program, int passes,
             interp.runQuads(program, arena.data(), arena.size(), tex);
             benchmark::DoNotOptimize(arena[0].lanes[0].outputs[0]);
         }
-    };
-    // Pin the JIT off for the decoded timing (see measureVertexInterp).
-    shader::jit::setEnabled(false);
-    r.decodedSeconds = bench::stableSeconds(quadPass);
-    if (shader::jit::available()) {
-        shader::jit::setEnabled(true);
-        r.jitSeconds = bench::stableSeconds(quadPass);
-    }
-    shader::jit::resetFromEnv();
+    });
     return r;
 }
 
@@ -613,39 +572,21 @@ printHotPath()
         demos.push(std::move(entry));
     }
 
-    std::printf("\n=== Hot path: interpreter, legacy vs decoded vs jit "
-                "(jit %s) ===\n",
-                shader::jit::available() ? "available" : "unavailable");
-    std::printf("%-10s %14s %14s %10s %12s %12s\n", "profile",
-                "legacy (s)", "decoded (s)", "speedup", "jit (s)",
-                "jit speedup");
+    std::printf("\n=== Hot path: interpreter, legacy vs decoded ===\n");
+    std::printf("%-10s %14s %14s %10s\n", "profile", "legacy (s)",
+                "decoded (s)", "speedup");
     const std::vector<InterpBenchResult> &interp = hotInterpResults();
     json::Value interp_doc = json::Value::object();
-    interp_doc.set("jit_available",
-                   json::Value::boolean(shader::jit::available()));
     for (std::size_t i = 0; i < std::size(kHotGames); ++i) {
         const InterpBenchResult &r = interp[i];
-        if (r.jitSeconds > 0.0) {
-            std::printf("%-10s %14.4f %14.4f %9.2fx %12.4f %11.2fx\n",
-                        kHotGames[i].profile, r.legacySeconds,
-                        r.decodedSeconds, r.speedup(), r.jitSeconds,
-                        r.jitSpeedup());
-        } else {
-            std::printf("%-10s %14.4f %14.4f %9.2fx %12s %12s\n",
-                        kHotGames[i].profile, r.legacySeconds,
-                        r.decodedSeconds, r.speedup(), "-", "-");
-        }
+        std::printf("%-10s %14.4f %14.4f %9.2fx\n", kHotGames[i].profile,
+                    r.legacySeconds, r.decodedSeconds, r.speedup());
         json::Value entry = json::Value::object();
         entry.set("legacy_seconds",
                   json::Value::number(r.legacySeconds));
         entry.set("decoded_seconds",
                   json::Value::number(r.decodedSeconds));
         entry.set("speedup", json::Value::number(r.speedup()));
-        if (r.jitSeconds > 0.0) {
-            entry.set("jit_seconds", json::Value::number(r.jitSeconds));
-            entry.set("speedup_vs_decoded",
-                      json::Value::number(r.jitSpeedup()));
-        }
         interp_doc.set(kHotGames[i].profile, std::move(entry));
     }
 
@@ -690,8 +631,6 @@ HotPathInterp(benchmark::State &state)
     state.SetLabel(kHotGames[idx].profile);
     state.counters["legacy_seconds"] = r.legacySeconds;
     state.counters["speedup_vs_legacy"] = r.speedup();
-    state.counters["jit_seconds"] = r.jitSeconds;
-    state.counters["jit_speedup_vs_decoded"] = r.jitSpeedup();
 }
 
 } // namespace

@@ -9,11 +9,7 @@
  *    the same binary on the same host, so they are machine-independent.
  *    The fragment profile must reach WC3D_GATE_MIN_SPEEDUP (default
  *    2.0); the other profiles must not fall below 1.0 (the decoded
- *    path must never lose to the legacy reference). When the document
- *    was measured on an x86-64 host (interp.jit_available), every
- *    profile's jit-vs-decoded speedup must also reach
- *    WC3D_GATE_MIN_JIT_SPEEDUP (default 1.5); on other hosts the JIT
- *    gate is skipped with a logged SKIP line.
+ *    path must never lose to the legacy reference).
  *
  * 2. The parallel-speedup gate: the thread sweep's 4-thread point must
  *    be at least WC3D_GATE_MIN_PARALLEL_SPEEDUP (default 1.4) times
@@ -179,13 +175,6 @@ gateParallelSpeedup(const json::Value &doc, double min_speedup)
 }
 
 void
-gateJitSpeedup(const json::Value &doc, double min_speedup)
-{
-    // Skips (never fails) on hosts that cannot run the x86-64 JIT.
-    reportGate(core::evalJitSpeedupGate(doc, min_speedup));
-}
-
-void
 gateSeconds(const char *what, const std::string &name, double current,
             double baseline, double threshold)
 {
@@ -294,14 +283,12 @@ main(int argc, char **argv)
         return 1;
 
     double min_fragment = envDouble("WC3D_GATE_MIN_SPEEDUP", 2.0);
-    double min_jit = envDouble("WC3D_GATE_MIN_JIT_SPEEDUP", 1.5);
     double min_parallel = envDouble("WC3D_GATE_MIN_PARALLEL_SPEEDUP", 1.4);
     double threshold = envDouble("WC3D_GATE_THRESHOLD", 0.20);
 
     std::printf("bench_gate: %s (host %s)\n", current_path.c_str(),
                 hostSummary(doc).c_str());
     gateInterpRatios(doc, min_fragment);
-    gateJitSpeedup(doc, min_jit);
     gateParallelSpeedup(doc, min_parallel);
 
     if (!baseline_path.empty()) {

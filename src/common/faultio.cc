@@ -6,11 +6,9 @@
 #include <mutex>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <unistd.h>
 
 #include "common/env.hh"
-#include "common/log.hh"
 #include "common/strutil.hh"
 
 namespace wc3d::faultio {
@@ -21,8 +19,6 @@ std::mutex planMutex;
 FaultPlan activePlan;
 bool planLoaded = false;
 std::atomic<std::uint64_t> writeCount{0};
-std::atomic<std::uint64_t> mmapCount{0};
-std::atomic<std::uint64_t> protectCount{0};
 
 FaultPlan
 loadFromEnv()
@@ -35,10 +31,6 @@ loadFromEnv()
     p.allEnospc = envInt("WC3D_FAULT_ENOSPC", 0) != 0;
     p.crashAfterWrites = static_cast<std::uint64_t>(
         envInt("WC3D_FAULT_CRASH_AFTER_WRITES", 0));
-    p.failNthMmap =
-        static_cast<std::uint64_t>(envInt("WC3D_FAULT_MMAP_FAIL_NTH", 0));
-    p.failNthProtect = static_cast<std::uint64_t>(
-        envInt("WC3D_FAULT_MPROTECT_FAIL_NTH", 0));
     return p;
 }
 
@@ -107,8 +99,6 @@ setPlan(const FaultPlan &plan)
     activePlan = plan;
     planLoaded = true;
     writeCount.store(0, std::memory_order_relaxed);
-    mmapCount.store(0, std::memory_order_relaxed);
-    protectCount.store(0, std::memory_order_relaxed);
 }
 
 void
@@ -118,8 +108,6 @@ resetFromEnv()
     activePlan = loadFromEnv();
     planLoaded = true;
     writeCount.store(0, std::memory_order_relaxed);
-    mmapCount.store(0, std::memory_order_relaxed);
-    protectCount.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -165,50 +153,6 @@ writeAll(int fd, const void *data, std::size_t size,
         ::_exit(kCrashExitStatus);
     }
     return true;
-}
-
-void *
-mapAnonRw(std::size_t size, const std::string &what, IoError *err)
-{
-    FaultPlan p = currentPlan();
-    std::uint64_t seq = mmapCount.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (p.failNthMmap != 0 && seq == p.failNthMmap) {
-        fail(err, "mmap", what,
-             "injected ENOMEM (WC3D_FAULT_MMAP_FAIL_NTH)");
-        return nullptr;
-    }
-    void *addr = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (addr == MAP_FAILED) {
-        fail(err, "mmap", what, std::strerror(errno));
-        return nullptr;
-    }
-    return addr;
-}
-
-bool
-protectExec(void *addr, std::size_t size, const std::string &what,
-            IoError *err)
-{
-    FaultPlan p = currentPlan();
-    std::uint64_t seq =
-        protectCount.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (p.failNthProtect != 0 && seq == p.failNthProtect) {
-        return fail(err, "mprotect", what,
-                    "injected EACCES (WC3D_FAULT_MPROTECT_FAIL_NTH)");
-    }
-    if (::mprotect(addr, size, PROT_READ | PROT_EXEC) != 0)
-        return fail(err, "mprotect", what, std::strerror(errno));
-    return true;
-}
-
-void
-unmap(void *addr, std::size_t size)
-{
-    if (addr == nullptr)
-        return;
-    if (::munmap(addr, size) != 0)
-        warn("munmap of %zu bytes failed: %s", size, std::strerror(errno));
 }
 
 bool

@@ -7,11 +7,6 @@
  * between write and rename — can be injected from the environment and
  * the recovery paths tested rather than asserted.
  *
- * The shader JIT's executable-memory layer (common/execmem.hh) funnels
- * its mmap/mprotect calls through here for the same reason: address-
- * space exhaustion and W^X remap refusals must degrade to the decoded
- * interpreter, and that fallback path needs a deterministic trigger.
- *
  * Injection knobs (all off by default):
  *   WC3D_FAULT_WRITE_FAIL_NTH=<n>     the n-th write (1-based, process-
  *                                     wide) fails with injected ENOSPC
@@ -23,10 +18,6 @@
  *                                     the n-th successful write — a
  *                                     power-loss point between a write
  *                                     and whatever was meant to follow
- *   WC3D_FAULT_MMAP_FAIL_NTH=<n>      the n-th anonymous mapAnonRw()
- *                                     fails with injected ENOMEM
- *   WC3D_FAULT_MPROTECT_FAIL_NTH=<n>  the n-th protectExec() W^X remap
- *                                     fails with injected EACCES
  *
  * All failures are reported as structured IoError values; nothing in
  * this layer calls fatal() or throws.
@@ -62,8 +53,6 @@ struct FaultPlan
     std::uint64_t shortNthWrite = 0;    ///< 1-based; 0 = off
     bool allEnospc = false;             ///< every write fails
     std::uint64_t crashAfterWrites = 0; ///< _exit after n successes; 0 = off
-    std::uint64_t failNthMmap = 0;      ///< 1-based; 0 = off
-    std::uint64_t failNthProtect = 0;   ///< 1-based; 0 = off
 };
 
 /** @return the active plan (first use loads the WC3D_FAULT_* env knobs). */
@@ -86,26 +75,6 @@ std::uint64_t writesAttempted();
  */
 bool writeAll(int fd, const void *data, std::size_t size,
               const std::string &path, IoError *err);
-
-/**
- * mmap an anonymous, private, read+write region of @p size bytes,
- * subject to the active fault plan. @p what names the consumer for
- * error reports (it plays the role a file path plays for writeAll).
- * @return the mapping, or nullptr with @p err filled on failure.
- */
-void *mapAnonRw(std::size_t size, const std::string &what, IoError *err);
-
-/**
- * Remap [@p addr, @p addr + @p size) from read+write to read+execute
- * (the W^X flip after code emission), subject to the active fault plan.
- * @return false with @p err filled on failure; the mapping stays RW.
- */
-bool protectExec(void *addr, std::size_t size, const std::string &what,
-                 IoError *err);
-
-/** munmap a region obtained from mapAnonRw() (never injected; a failed
- *  unmap only leaks address space and is logged, not propagated). */
-void unmap(void *addr, std::size_t size);
 
 /** fsync @p fd. @return false with @p err filled on failure. */
 bool syncFd(int fd, const std::string &path, IoError *err);

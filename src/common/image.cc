@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/hash.hh"
 #include "common/log.hh"
 
 namespace wc3d {
@@ -62,18 +63,8 @@ Image::writePpm(const std::string &path) const
 std::uint64_t
 Image::contentHash() const
 {
-    std::uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](std::uint8_t byte) {
-        h ^= byte;
-        h *= 1099511628211ULL;
-    };
-    for (const Rgba8 &p : _pixels) {
-        mix(p.r);
-        mix(p.g);
-        mix(p.b);
-        mix(p.a);
-    }
-    return h;
+    static_assert(sizeof(Rgba8) == 4, "pixels hash as packed r,g,b,a");
+    return fnv1a64(_pixels.data(), _pixels.size() * sizeof(Rgba8));
 }
 
 } // namespace wc3d

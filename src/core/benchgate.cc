@@ -115,56 +115,4 @@ sweepEntryOversubscribed(const json::Value &entry)
     return threads > static_cast<int>(ht->asDouble());
 }
 
-GateResult
-evalJitSpeedupGate(const json::Value &doc, double min_speedup)
-{
-    auto fail = [](std::string msg) {
-        return GateResult{GateOutcome::Fail, std::move(msg)};
-    };
-
-    const json::Value *hot = doc.find("hotpath");
-    const json::Value *interp = hot ? hot->find("interp") : nullptr;
-    if (!interp)
-        return fail("hotpath.interp missing (jit speedup gate)");
-
-    const json::Value *avail = interp->find("jit_available");
-    if (!avail || !avail->asBool())
-        return GateResult{
-            GateOutcome::Skip,
-            "jit speedup gate: the measuring host cannot run the "
-            "x86-64 shader JIT (interp.jit_available is false or "
-            "absent) — nothing to gate"};
-
-    double worst = 0.0;
-    const char *worst_profile = nullptr;
-    for (const char *profile : {"vertex", "fragment", "texture"}) {
-        const json::Value *entry = interp->find(profile);
-        if (!entry)
-            return fail(format("hotpath.interp.%s missing "
-                               "(jit speedup gate)",
-                               profile));
-        const json::Value *s = entry->find("speedup_vs_decoded");
-        if (!s)
-            return fail(format(
-                "hotpath.interp.%s.speedup_vs_decoded missing even "
-                "though jit_available is true — the jit measurement "
-                "did not run",
-                profile));
-        double speedup = s->asDouble();
-        if (!worst_profile || speedup < worst) {
-            worst = speedup;
-            worst_profile = profile;
-        }
-    }
-    if (worst >= min_speedup)
-        return GateResult{
-            GateOutcome::Pass,
-            format("jit speedup vs decoded: worst profile %s %.2fx "
-                   "(floor %.2fx)",
-                   worst_profile, worst, min_speedup)};
-    return fail(format(
-        "jit speedup vs decoded %.2fx (%s) below floor %.2fx",
-        worst, worst_profile, min_speedup));
-}
-
 } // namespace wc3d::core

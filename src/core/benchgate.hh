@@ -61,20 +61,6 @@ GateResult evalParallelSpeedupGate(const json::Value &doc,
  */
 bool sweepEntryOversubscribed(const json::Value &entry);
 
-/**
- * The jit-vs-decoded interpreter speedup gate over hotpath.interp.
- * Each profile's speedup_vs_decoded (vertex, fragment, texture) must
- * reach @p min_speedup. Like the decoded-vs-legacy ratios this
- * compares two measurements from the same binary on the same host, so
- * it is machine-independent. The gate *skips* (never fails) when the
- * document records interp.jit_available == false or omits the flag —
- * non-x86-64 hosts cannot measure the JIT at all. A document with
- * jit_available true but missing per-profile jit numbers fails
- * (the measurement should have happened and did not).
- */
-GateResult evalJitSpeedupGate(const json::Value &doc,
-                              double min_speedup);
-
 } // namespace wc3d::core
 
 #endif // WC3D_CORE_BENCHGATE_HH

@@ -11,7 +11,6 @@
 #include "common/strutil.hh"
 #include "common/threadpool.hh"
 #include "raster/tilegrid.hh"
-#include "shader/jit/jit.hh"
 #include "stats/jsonio.hh"
 
 namespace wc3d::core {
@@ -19,10 +18,10 @@ namespace wc3d::core {
 namespace {
 
 constexpr const char *kSchema = "wc3d-metrics-v1";
-/** Minor schema revision: 1 added the host block, 2 the jit block
- *  (older readers that only check the schema tag still accept the
- *  document). */
-constexpr std::uint64_t kSchemaMinor = 2;
+/** Minor schema revision: 1 added the host block, 2 a shader-compiler
+ *  block, 3 dropped that block with the compiler it described (older
+ *  readers that only check the schema tag still accept the document). */
+constexpr std::uint64_t kSchemaMinor = 3;
 
 double
 nowSeconds()
@@ -313,23 +312,10 @@ RunMeta::toJson() const
     for (const auto &kv : _runs)
         runs.push(kv.second);
 
-    // Shader JIT compile-time stats: how many programs went native,
-    // what the one-time translation cost was, and whether any fell
-    // back to the decoded interpreter (published in the CI artifact).
-    shader::jit::Stats js = shader::jit::stats();
-    json::Value jit = json::Value::object();
-    jit.set("available", json::Value::boolean(shader::jit::available()));
-    jit.set("enabled", json::Value::boolean(shader::jit::enabled()));
-    jit.set("programsCompiled", json::Value::number(js.programsCompiled));
-    jit.set("compileSeconds", json::Value::number(js.compileSeconds));
-    jit.set("fallbacks", json::Value::number(js.fallbacks));
-    jit.set("codeBytes", json::Value::number(js.codeBytes));
-
     json::Value doc = json::Value::object();
     doc.set("schema", json::Value::str(kSchema));
     doc.set("schemaMinor", json::Value::number(kSchemaMinor));
     doc.set("host", hostInfoJson());
-    doc.set("jit", std::move(jit));
     doc.set("config", std::move(config));
     doc.set("phases", std::move(phases));
     doc.set("runs", std::move(runs));
@@ -471,19 +457,6 @@ validateMetrics(const json::Value &doc, std::string *error)
             return fail("host.hostname missing");
         if (!hw || !hw->isNumber())
             return fail("host.hardwareThreads missing");
-    }
-    // jit block is optional (minor < 2 documents predate it); when
-    // present it must carry the compile counters.
-    const json::Value *jit = doc.find("jit");
-    if (jit) {
-        if (!jit->isObject())
-            return fail("jit is not an object");
-        const json::Value *compiled = jit->find("programsCompiled");
-        const json::Value *fallbacks = jit->find("fallbacks");
-        if (!compiled || !compiled->isNumber())
-            return fail("jit.programsCompiled missing");
-        if (!fallbacks || !fallbacks->isNumber())
-            return fail("jit.fallbacks missing");
     }
     const json::Value *config = doc.find("config");
     if (!config || !config->isObject())

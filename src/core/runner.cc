@@ -9,6 +9,7 @@
 
 #include "common/env.hh"
 #include "common/fs.hh"
+#include "common/hash.hh"
 #include "common/log.hh"
 #include "common/prof.hh"
 #include "common/strutil.hh"
@@ -114,11 +115,7 @@ MicroSpec::cacheFingerprint() const
     knob("t1.b", tc.l1Line, td.l1Line);
     if (canon.empty())
         return 0;
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : canon) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
+    std::uint64_t h = fnv1a64(canon);
     return h ? h : 1; // 0 is reserved for the default shape
 }
 

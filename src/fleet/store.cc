@@ -5,6 +5,7 @@
 
 #include "common/env.hh"
 #include "common/fs.hh"
+#include "common/hash.hh"
 #include "common/strutil.hh"
 #include "core/runmeta.hh"
 
@@ -13,17 +14,6 @@ namespace wc3d::fleet {
 namespace {
 
 constexpr const char *kIndexSchema = "wc3d-fleet-index-v1";
-
-std::uint64_t
-fnv1a64(const std::string &bytes)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 bool
 isHex16(const std::string &s)

@@ -10,6 +10,7 @@
 
 #include "common/faultio.hh"
 #include "common/fs.hh"
+#include "common/hash.hh"
 #include "common/strutil.hh"
 
 namespace wc3d::serve {
@@ -17,7 +18,7 @@ namespace wc3d::serve {
 namespace {
 
 constexpr char kJournalMagic[8] = {'W', 'C', '3', 'D',
-                                   'J', 'R', 'N', '1'};
+                                   'J', 'R', 'N', '2'};
 constexpr std::size_t kMagicBytes = sizeof(kJournalMagic);
 constexpr std::size_t kFrameBytes = 4 + 8; ///< u32 length + u64 checksum
 constexpr const char *kJournalFile = "journal.wc3djrn";
@@ -33,18 +34,6 @@ enum : std::uint8_t
     kRecBaseline = 6,
 };
 constexpr std::uint8_t kRecMax = kRecBaseline;
-
-std::uint64_t
-fnv1a64(const void *data, std::size_t size)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /** Little-endian appenders (the protocol Out idiom, minus framing). */
 void
@@ -310,7 +299,7 @@ Journal::replay(const std::string &content, JournalRecovery *out)
     if (size < kMagicBytes ||
         std::memcmp(data, kJournalMagic, kMagicBytes) != 0) {
         out->truncated = true;
-        out->truncation = {0, "bad journal magic (want WC3DJRN1)"};
+        out->truncation = {0, "bad journal magic (want WC3DJRN2)"};
         return false;
     }
 

@@ -13,7 +13,7 @@
  * On-disk format (WC3DTRC2 discipline — length-framed, checksummed,
  * validated field by field, no fatal()):
  *
- *   "WC3DJRN1"                                    8-byte file magic
+ *   "WC3DJRN2"                                    8-byte file magic
  *   repeated records:
  *     u32  payload length  (1 .. kJournalMaxPayload)
  *     u64  FNV-1a 64 checksum of the payload

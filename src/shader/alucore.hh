@@ -1,9 +1,8 @@
 /**
  * @file
- * The shared scalar arithmetic core of the shader ALU. Every executor
- * — the legacy field-by-field interpreter, the pre-decoded hot path
- * (shader/interp.cc) and the transcendental helper calls issued by the
- * x86-64 JIT (shader/jit/jit.cc) — computes instruction results through
+ * The shared scalar arithmetic core of the shader ALU. Both executors
+ * — the legacy field-by-field reference interpreter and the pre-decoded
+ * hot path (shader/interp.cc) — compute instruction results through
  * aluResult(), so float special cases (RCP's zero guard, LG2's domain
  * clamp, LIT's exponent clamp, NaN propagation through MIN/MAX) are
  * defined in exactly one place and stay bit-identical across executors
@@ -66,13 +65,14 @@ arityFor(Opcode op)
  * MIN/MAX with pinned ±0 and NaN semantics: pick @p a only when the
  * strict ordered compare holds or @p b is NaN, else @p b — so
  * min(+0,-0) = -0, min(x,NaN) = x, min(NaN,x) = x (and symmetrically
- * for max). std::fmin/fmax must not be used here: which operand they
- * return on an equal compare is a build detail (glibc's x86-64 asm
- * resolves fmin(+0,-0) to its second operand, GCC's -O2 inline
- * expansion to its first), which made the reference interpreters
- * disagree across build flavours and with the JIT. These are pure
- * IEEE compares, so every build computes the same bits, and
- * jit/translate.cc emits exactly this blend (cmplt + cmpunord).
+ * for max: max(+0,-0) = -0, max(x,NaN) = x, max(NaN,x) = x).
+ * std::fmin/fmax must not be used here: which operand they return on
+ * an equal compare is a build detail (glibc's x86-64 asm resolves
+ * fmin(+0,-0) to its second operand, GCC's -O2 inline expansion to its
+ * first), so the statistics of a shader that hits ±0 could differ
+ * between a Debug and a Release build. These are pure IEEE compares,
+ * so every build computes the same bits; test_shader_decoded pins the
+ * absolute results.
  */
 WC3D_FORCE_INLINE float
 minf(float a, float b)

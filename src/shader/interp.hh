@@ -20,10 +20,6 @@ namespace wc3d::shader {
 
 class DecodedProgram;
 
-namespace jit {
-class JitProgram;
-}
-
 /**
  * Receiver of texture sampling requests issued by TEX/TXP/TXB.
  * Implemented by the texture unit; tests use stub handlers.
@@ -83,16 +79,14 @@ struct InterpStats
  * Executes shader programs. Stateless between runs apart from the
  * accumulated statistics.
  *
- * run()/runQuad()/runQuads() execute the program's native x86-64 JIT
- * kernel when one is available (shader/jit/jit.hh; enabled by default
- * on x86-64 hosts, WC3D_JIT=0 to disable) and otherwise the program's
- * pre-decoded form (shader/decoded.hh), triggering the compile/decode
- * lazily on first use. Both produce bit-identical register state and
- * statistics; the decoded path is the JIT's differential oracle. The
- * runLegacy()/runQuadLegacy() entry points execute the original
- * field-by-field interpreter over shader::Instruction; they are kept as
- * the bit-exact reference for differential tests and as the baseline
- * for the hot-path speedup benchmarks.
+ * run()/runQuad()/runQuads() execute the program's pre-decoded form
+ * (shader/decoded.hh), decoding it lazily on first use; this is the one
+ * production executor. The runLegacy()/runQuadLegacy() entry points
+ * execute the original field-by-field interpreter over
+ * shader::Instruction; they are kept as the bit-exact reference for
+ * differential tests and as the baseline for the hot-path speedup
+ * benchmarks. The statistics both produce are pinned absolutely by the
+ * committed golden digests (tests/golden/).
  */
 class Interpreter
 {
@@ -137,9 +131,6 @@ class Interpreter
   private:
     void runQuadDecoded(const Program &program, const DecodedProgram &dec,
                         QuadState &quad, TextureSampleHandler *tex_handler);
-    void runQuadsJit(const Program &program, const jit::JitProgram &jp,
-                     QuadState *quads, std::size_t count,
-                     TextureSampleHandler *tex_handler);
 
     InterpStats _stats;
 };

@@ -5,8 +5,7 @@
  * sweeps stitched together from mismatched hosts, sweeps lacking a 1-
  * or 4-thread point, and sweep entries measured oversubscribed
  * (threads > host_threads) must SKIP with a warning — never gate,
- * never pass silently. Likewise the jit-vs-decoded speedup gate must
- * skip (not fail) on hosts that cannot run the x86-64 JIT at all.
+ * never pass silently.
  */
 
 #include <vector>
@@ -196,84 +195,4 @@ TEST(BenchGate, ParallelGateSkipsOversubscribedSweepPoint)
     auto r = core::evalParallelSpeedupGate(doc, 1.4);
     EXPECT_EQ(r.outcome, core::GateOutcome::Skip);
     EXPECT_NE(r.message.find("oversubscribed"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// The jit-vs-decoded speedup gate over hotpath.interp.
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** A document whose hotpath.interp holds the three profiles with the
- *  given jit speedups (omitted when < 0), plus the availability flag
- *  (1 true, 0 false, -1 omitted — a pre-JIT legacy document). */
-json::Value
-jitDoc(int available, double vertex, double fragment, double texture)
-{
-    json::Value interp = json::Value::object();
-    if (available >= 0)
-        interp.set("jit_available",
-                   json::Value::boolean(available != 0));
-    const char *names[] = {"vertex", "fragment", "texture"};
-    double speedups[] = {vertex, fragment, texture};
-    for (int i = 0; i < 3; ++i) {
-        json::Value e = json::Value::object();
-        e.set("speedup", json::Value::number(2.5));
-        if (speedups[i] >= 0.0)
-            e.set("speedup_vs_decoded",
-                  json::Value::number(speedups[i]));
-        interp.set(names[i], std::move(e));
-    }
-    json::Value hot = json::Value::object();
-    hot.set("interp", std::move(interp));
-    json::Value doc = json::Value::object();
-    doc.set("hotpath", std::move(hot));
-    return doc;
-}
-
-} // namespace
-
-TEST(BenchGate, JitGatePassesWhenEveryProfileMeetsFloor)
-{
-    auto r = core::evalJitSpeedupGate(jitDoc(1, 2.1, 1.8, 1.6), 1.5);
-    EXPECT_EQ(r.outcome, core::GateOutcome::Pass);
-    // The message names the worst profile so a near-miss is visible.
-    EXPECT_NE(r.message.find("texture"), std::string::npos);
-}
-
-TEST(BenchGate, JitGateFailsOnWorstProfile)
-{
-    auto r = core::evalJitSpeedupGate(jitDoc(1, 2.1, 1.2, 1.6), 1.5);
-    EXPECT_EQ(r.outcome, core::GateOutcome::Fail);
-    EXPECT_NE(r.message.find("fragment"), std::string::npos);
-}
-
-TEST(BenchGate, JitGateSkipsWhenHostCannotJit)
-{
-    // jit_available false — the decoded interpreter is the only
-    // executor on this host; there is nothing to gate.
-    auto r = core::evalJitSpeedupGate(jitDoc(0, -1, -1, -1), 1.5);
-    EXPECT_EQ(r.outcome, core::GateOutcome::Skip);
-
-    // Legacy documents without the flag at all also skip.
-    EXPECT_EQ(
-        core::evalJitSpeedupGate(jitDoc(-1, 2.0, 2.0, 2.0), 1.5).outcome,
-        core::GateOutcome::Skip);
-}
-
-TEST(BenchGate, JitGateFailsWhenMeasurementMissingDespiteAvailability)
-{
-    // jit_available true but no speedup_vs_decoded on one profile:
-    // the measurement should have run and did not — that's a failure,
-    // not a skip.
-    auto r = core::evalJitSpeedupGate(jitDoc(1, 2.1, -1, 1.6), 1.5);
-    EXPECT_EQ(r.outcome, core::GateOutcome::Fail);
-    EXPECT_NE(r.message.find("fragment"), std::string::npos);
-}
-
-TEST(BenchGate, JitGateFailsWhenInterpMissing)
-{
-    json::Value doc = json::Value::object();
-    EXPECT_EQ(core::evalJitSpeedupGate(doc, 1.5).outcome,
-              core::GateOutcome::Fail);
 }

@@ -18,6 +18,7 @@
 #include "common/env.hh"
 #include "common/faultio.hh"
 #include "common/fs.hh"
+#include "common/hash.hh"
 #include "common/image.hh"
 #include "common/json.hh"
 #include "common/rng.hh"
@@ -99,6 +100,15 @@ TEST(Image, FillAndAccess)
     EXPECT_EQ(img.at(0, 0).r, 10);
 }
 
+TEST(Hash, Fnv1a64PublishedTestVectors)
+{
+    EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+    const unsigned char bytes[] = {'f', 'o', 'o', 'b', 'a', 'r'};
+    EXPECT_EQ(fnv1a64(bytes, sizeof bytes), fnv1a64("foobar"));
+}
+
 TEST(Image, ContentHashChangesWithContent)
 {
     Image a(8, 8);
@@ -106,6 +116,11 @@ TEST(Image, ContentHashChangesWithContent)
     EXPECT_EQ(a.contentHash(), b.contentHash());
     b.set(3, 3, {255, 0, 0, 255});
     EXPECT_NE(a.contentHash(), b.contentHash());
+
+    // The hash runs over the pixels' r, g, b, a bytes in raster order.
+    Image one(1, 1);
+    one.set(0, 0, {'f', 'o', 'o', 'b'});
+    EXPECT_EQ(one.contentHash(), fnv1a64("foob"));
 }
 
 TEST(Image, PpmWriteProducesFile)

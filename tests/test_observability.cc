@@ -404,6 +404,18 @@ TEST(RunMeta, HostBlockVersioningAndValidation)
     no_hw.set("host", std::move(host2));
     EXPECT_FALSE(validateMetrics(no_hw, &error));
     EXPECT_NE(error.find("hardwareThreads"), std::string::npos);
+
+    // Minor 2 documents carried a shader-compiler stats block that
+    // minor 3 dropped; the validator ignores blocks it does not know,
+    // so archived minor-2 manifests still lint.
+    EXPECT_GE(minor->asU64(), 3u);
+    json::Value minor2 = doc;
+    minor2.set("schemaMinor", json::Value::number(std::uint64_t(2)));
+    json::Value compiler = json::Value::object();
+    compiler.set("programsCompiled", json::Value::number(7));
+    compiler.set("fallbacks", json::Value::number(0));
+    minor2.set("shaderCompiler", std::move(compiler));
+    EXPECT_TRUE(validateMetrics(minor2, &error)) << error;
 }
 
 // --- Log levels ----------------------------------------------------

@@ -714,7 +714,7 @@ TEST(JobQueue, ReadyAndWaitingCountsDistinguishBackoff)
 }
 
 // ---------------------------------------------------------------
-// Durable job journal (WC3DJRN1): append/replay round trips,
+// Durable job journal (WC3DJRN2): append/replay round trips,
 // JobQueue restoration, snapshot compaction, torn-tail recovery and
 // the seeded mutation fuzzer.
 // ---------------------------------------------------------------
@@ -1059,6 +1059,45 @@ TEST(Journal, RefusesAForeignFile)
     ASSERT_TRUE(j.lastError().has_value());
     EXPECT_NE(j.lastError()->reason.find("magic"), std::string::npos);
     EXPECT_FALSE(readFileBytes(journalFile(dir)).empty());
+    removeJournalDir(dir);
+}
+
+TEST(Journal, RefusesAPreviousFormatJournal)
+{
+    // WC3DJRN1 checksummed its records with a truncated FNV-1a offset
+    // basis; WC3DJRN2 uses the published one. A version-1 journal is
+    // refused at its magic, before any record checksum is read, and
+    // left on disk untouched for the operator.
+    std::string dir = journalDir("jrn1");
+    removeJournalDir(dir);
+    {
+        Journal j;
+        ASSERT_TRUE(j.open(dir, nullptr));
+        writeLifecycleJournal(j);
+        j.close();
+    }
+    std::string image = readFileBytes(journalFile(dir));
+    ASSERT_EQ(image.compare(0, 8, "WC3DJRN2"), 0);
+    image[7] = '1';
+    FILE *f = fopen(journalFile(dir).c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(fwrite(image.data(), 1, image.size(), f), image.size());
+    fclose(f);
+
+    JournalRecovery out;
+    EXPECT_FALSE(Journal::replay(image, &out));
+    EXPECT_TRUE(out.truncated);
+    EXPECT_EQ(out.truncation.offset, 0u);
+    EXPECT_NE(out.truncation.reason.find("WC3DJRN2"), std::string::npos);
+    EXPECT_TRUE(out.jobs.empty());
+
+    Journal j;
+    JournalRecovery rec;
+    EXPECT_FALSE(j.open(dir, &rec));
+    ASSERT_TRUE(j.lastError().has_value());
+    EXPECT_EQ(j.lastError()->offset, 0u);
+    EXPECT_NE(j.lastError()->reason.find("magic"), std::string::npos);
+    EXPECT_EQ(readFileBytes(journalFile(dir)), image);
     removeJournalDir(dir);
 }
 

@@ -3,23 +3,27 @@
  * Tests for the pre-decoded shader execution path (shader/decoded.hh):
  * decode caching and invalidation, the register clear plan / arena
  * reuse, batched quad execution, and a full-ISA differential that pins
- * all three executors — legacy field-by-field reference, pre-decoded
- * interpreter, and (on x86-64 hosts) the native JIT — bit-exactly to
- * one another, including opcodes no current workload emits (DST, LIT,
- * XPD, ...), so operand-arity mismatches between the decoders cannot
- * hide. The decoded runs pin the JIT off and the JIT runs pin it on,
- * so each comparison genuinely exercises its executor whatever
- * WC3D_JIT says.
+ * the legacy field-by-field reference and the pre-decoded interpreter
+ * bit-exactly to one another, including opcodes no current workload
+ * emits (DST, LIT, XPD, ...), so operand-arity mismatches between the
+ * decoders cannot hide. Float special cases (MIN/MAX on ±0 and NaN,
+ * RCP/RSQ of zero, FLR/FRC of negatives, NaN saturation) are compared
+ * as bit patterns, and MIN/MAX are also pinned to absolute bits, so
+ * the shared arithmetic core (shader/alucore.hh) cannot drift in both
+ * executors at once.
  */
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "shader/alucore.hh"
 #include "shader/decoded.hh"
 #include "shader/interp.hh"
-#include "shader/jit/jit.hh"
 
 using namespace wc3d;
 using namespace wc3d::shader;
@@ -36,25 +40,6 @@ v4(int seed)
     };
     return {f(0), f(1), f(2), f(3)};
 }
-
-/** Stub texture handler with a coordinate-dependent result. */
-class HashTexture : public TextureSampleHandler
-{
-  public:
-    void
-    sampleQuad(int sampler, const Vec4 coords[4], float lod_bias,
-               Vec4 out[4]) override
-    {
-        ++calls;
-        for (int l = 0; l < 4; ++l) {
-            const Vec4 &c = coords[l];
-            out[l] = {c.x * 0.5f + static_cast<float>(sampler),
-                      c.y * 0.25f + lod_bias, c.z, 1.0f};
-        }
-    }
-
-    int calls = 0;
-};
 
 /** |s| — there is no builder shorthand for the absolute modifier. */
 SrcOperand
@@ -126,12 +111,68 @@ fullIsaAluProgram()
     return p;
 }
 
-/** Pin the JIT on or off for a scope, restoring WC3D_JIT on exit. */
-struct JitMode
+/** Stub texture handler: records every sampleQuad() call verbatim
+ *  and returns a coordinate-dependent result. */
+class RecordingTexture : public TextureSampleHandler
 {
-    explicit JitMode(bool on) { jit::setEnabled(on); }
-    ~JitMode() { jit::resetFromEnv(); }
+  public:
+    struct Call
+    {
+        int sampler;
+        Vec4 coords[4];
+        float lodBias;
+    };
+
+    void
+    sampleQuad(int sampler, const Vec4 coords[4], float lod_bias,
+               Vec4 out[4]) override
+    {
+        Call c;
+        c.sampler = sampler;
+        c.lodBias = lod_bias;
+        for (int l = 0; l < 4; ++l) {
+            c.coords[l] = coords[l];
+            out[l] = {coords[l].y, coords[l].x,
+                      static_cast<float>(sampler), lod_bias};
+        }
+        calls.push_back(c);
+    }
+
+    std::vector<Call> calls;
 };
+
+std::uint32_t
+bitsOf(float f)
+{
+    std::uint32_t b;
+    std::memcpy(&b, &f, sizeof b);
+    return b;
+}
+
+/** Bitwise Vec4 comparison: NaNs must match as bit patterns, not
+ *  compare-equal, and zero signs must match too. */
+void
+expectBitsEqual(const Vec4 &a, const Vec4 &b, const char *what)
+{
+    for (int k = 0; k < 4; ++k)
+        EXPECT_EQ(bitsOf(a[k]), bitsOf(b[k])) << what << " component " << k;
+}
+
+/** Same samplers in the same order with bit-identical coordinates and
+ *  LOD biases. */
+void
+expectCallsIdentical(const RecordingTexture &a, const RecordingTexture &b)
+{
+    ASSERT_EQ(a.calls.size(), b.calls.size());
+    for (std::size_t c = 0; c < a.calls.size(); ++c) {
+        SCOPED_TRACE(c);
+        EXPECT_EQ(a.calls[c].sampler, b.calls[c].sampler);
+        EXPECT_EQ(bitsOf(a.calls[c].lodBias), bitsOf(b.calls[c].lodBias));
+        for (int l = 0; l < 4; ++l)
+            expectBitsEqual(a.calls[c].coords[l], b.calls[c].coords[l],
+                            "coords");
+    }
+}
 
 /** Compare every register of two lanes bit-exactly. */
 void
@@ -161,30 +202,100 @@ TEST(Decoded, FullIsaMatchesLegacyBitExactly)
         hot.inputs[i] = v4(i + 1);
     }
     legacy.runLegacy(p, ref);
-    {
-        JitMode off(false);
-        decoded.run(p, hot);
-    }
+    decoded.run(p, hot);
     expectLanesIdentical(ref, hot, "full ISA");
     EXPECT_EQ(legacy.stats().instructionsExecuted,
               decoded.stats().instructionsExecuted);
     EXPECT_EQ(legacy.stats().programsRun, decoded.stats().programsRun);
+}
 
-    // Third executor: the native JIT must agree with both, including
-    // on the helper-backed opcodes (DST, LIT, EX2/LG2/POW, NRM, XPD).
-    if (jit::available()) {
-        JitMode on(true);
-        Interpreter jitted;
-        LaneState nat;
-        for (int i = 0; i < 3; ++i)
-            nat.inputs[i] = v4(i + 1);
-        ASSERT_NE(p.jitted(), nullptr);
-        jitted.run(p, nat);
-        expectLanesIdentical(ref, nat, "full ISA jit");
-        EXPECT_EQ(legacy.stats().instructionsExecuted,
-                  jitted.stats().instructionsExecuted);
-        EXPECT_EQ(legacy.stats().programsRun,
-                  jitted.stats().programsRun);
+TEST(Decoded, SpecialValuesMatchLegacyBitExactly)
+{
+    // MIN/MAX NaN propagation and zero signs, RCP/RSQ zero guards,
+    // FLR/FRC on negatives, saturation of NaN: the float special cases
+    // where two executors of one ISA most easily diverge.
+    Program p(ProgramKind::Fragment, "special");
+    p.minOp(dstTemp(0), srcInput(0), srcInput(1));
+    p.maxOp(dstTemp(1), srcInput(0), srcInput(1));
+    p.rcp(dstTemp(2, kMaskX), srcInput(0, packSwizzle(0, 0, 0, 0)));
+    p.rsq(dstTemp(2, kMaskY), srcInput(0, packSwizzle(1, 1, 1, 1)));
+    p.flr(dstTemp(3), srcInput(0));
+    p.frc(dstTemp(4), srcInput(0));
+    p.slt(dstTemp(5), srcInput(0), srcInput(1));
+    p.add(saturate(dstOutput(0)), srcInput(0), srcInput(1));
+    p.mul(dstOutput(1), srcInput(1), srcTemp(0));
+
+    const float qnan = std::nanf("");
+    const float inf = std::numeric_limits<float>::infinity();
+    const Vec4 specials[] = {
+        {qnan, -0.0f, inf, -inf},
+        {0.0f, qnan, -1.5f, 2.25f},
+        {-0.0f, 0.0f, qnan, -3.75f},
+        {inf, -inf, 0.5f, qnan},
+    };
+
+    for (std::size_t i = 0; i + 1 < std::size(specials); ++i) {
+        SCOPED_TRACE(i);
+        LaneState ref, hot;
+        ref.inputs[0] = hot.inputs[0] = specials[i];
+        ref.inputs[1] = hot.inputs[1] = specials[i + 1];
+
+        Interpreter legacy, decoded;
+        legacy.runLegacy(p, ref);
+        decoded.run(p, hot);
+
+        for (int t = 0; t < 6; ++t) {
+            SCOPED_TRACE(t);
+            expectBitsEqual(ref.temps[t], hot.temps[t], "temp");
+        }
+        for (int o = 0; o < 2; ++o) {
+            SCOPED_TRACE(o);
+            expectBitsEqual(ref.outputs[o], hot.outputs[o], "output");
+        }
+    }
+}
+
+TEST(Decoded, MinMaxPinnedZeroAndNanSemantics)
+{
+    // Absolute bits, not executor agreement: min/max pick the first
+    // operand only on a strict ordered compare or a NaN second operand.
+    const float qnan = std::nanf("");
+    const float x = 1.5f;
+    const std::uint32_t pos0 = bitsOf(0.0f), neg0 = bitsOf(-0.0f);
+    const std::uint32_t xb = bitsOf(x);
+
+    EXPECT_EQ(bitsOf(minf(0.0f, -0.0f)), neg0);
+    EXPECT_EQ(bitsOf(minf(-0.0f, 0.0f)), pos0);
+    EXPECT_EQ(bitsOf(minf(x, qnan)), xb);
+    EXPECT_EQ(bitsOf(minf(qnan, x)), xb);
+    EXPECT_EQ(bitsOf(maxf(0.0f, -0.0f)), neg0);
+    EXPECT_EQ(bitsOf(maxf(-0.0f, 0.0f)), pos0);
+    EXPECT_EQ(bitsOf(maxf(x, qnan)), xb);
+    EXPECT_EQ(bitsOf(maxf(qnan, x)), xb);
+
+    // The same bits through the MIN/MAX opcodes of both executors:
+    // lane components are (+0,-0), (x,NaN), (NaN,x), (-0,+0).
+    Program p(ProgramKind::Fragment, "minmax");
+    p.minOp(dstOutput(0), srcInput(0), srcInput(1));
+    p.maxOp(dstOutput(1), srcInput(0), srcInput(1));
+    const Vec4 a = {0.0f, x, qnan, -0.0f};
+    const Vec4 b = {-0.0f, qnan, x, 0.0f};
+    const std::uint32_t want[4] = {neg0, xb, xb, pos0};
+
+    LaneState ref, hot;
+    ref.inputs[0] = hot.inputs[0] = a;
+    ref.inputs[1] = hot.inputs[1] = b;
+    Interpreter legacy, decoded;
+    legacy.runLegacy(p, ref);
+    decoded.run(p, hot);
+    for (const LaneState *lane : {&ref, &hot}) {
+        for (int o = 0; o < 2; ++o) {
+            for (int k = 0; k < 4; ++k) {
+                EXPECT_EQ(bitsOf(lane->outputs[o][k]), want[k])
+                    << (lane == &ref ? "legacy" : "decoded") << " output "
+                    << o << "." << k;
+            }
+        }
     }
 }
 
@@ -225,31 +336,51 @@ TEST(Decoded, KillMatchesLegacy)
         ref.inputs[0] = hot.inputs[0] = {1, 1, 1, alpha};
         ref.inputs[1] = hot.inputs[1] = v4(9);
         legacy.runLegacy(p, ref);
-        {
-            JitMode off(false);
-            decoded.run(p, hot);
-        }
+        decoded.run(p, hot);
         expectLanesIdentical(ref, hot, "kil lane");
         EXPECT_EQ(ref.killed, alpha < 0.5f);
         EXPECT_EQ(legacy.stats().killsTaken,
                   decoded.stats().killsTaken);
-
-        if (jit::available()) {
-            JitMode on(true);
-            Interpreter jitted;
-            LaneState nat;
-            nat.inputs[0] = ref.inputs[0];
-            nat.inputs[1] = ref.inputs[1];
-            jitted.run(p, nat);
-            expectLanesIdentical(ref, nat, "kil lane jit");
-            EXPECT_EQ(legacy.stats().killsTaken,
-                      jitted.stats().killsTaken);
-        }
     }
+}
+
+TEST(Decoded, QuadKillMatchesLegacyOnPartialCoverage)
+{
+    // Two KILs: a lane killed by the first must not be re-counted by
+    // the second, and uncovered lanes must never count at all.
+    Program p(ProgramKind::Fragment, "kil_quad");
+    p.sub(dstTemp(0), srcInput(0), srcConst(0));
+    p.kil(srcTemp(0));
+    p.kil(srcTemp(0, packSwizzle(3, 3, 3, 3)));
+    p.mov(dstOutput(0), srcInput(0));
+    p.setConstant(0, {0.5f, 0.5f, 0.5f, 0.5f});
+
+    QuadState ref, hot;
+    for (int l = 0; l < 4; ++l) {
+        ref.covered[l] = hot.covered[l] = (l != 1);
+        float v = 0.25f * static_cast<float>(l + 1); // 0.25..1.0
+        ref.lanes[l].inputs[0] = hot.lanes[l].inputs[0] =
+            {v, 1.0f - v, v, v};
+    }
+
+    Interpreter legacy, decoded;
+    legacy.runQuadLegacy(p, ref, nullptr);
+    decoded.runQuad(p, hot, nullptr);
+
+    for (int l = 0; l < 4; ++l)
+        expectLanesIdentical(ref.lanes[l], hot.lanes[l], "kil quad lane");
+    EXPECT_GT(legacy.stats().killsTaken, 0u);
+    EXPECT_EQ(legacy.stats().killsTaken, decoded.stats().killsTaken);
+    EXPECT_EQ(legacy.stats().instructionsExecuted,
+              decoded.stats().instructionsExecuted);
+    EXPECT_EQ(legacy.stats().programsRun, decoded.stats().programsRun);
 }
 
 TEST(Decoded, QuadTextureMatchesLegacy)
 {
+    // TEX, TXP (projective divide) and TXB (LOD bias from .w) on a
+    // partially covered quad: both executors must issue the same
+    // sampler calls with bit-identical coordinates and biases.
     Program p(ProgramKind::Fragment, "tex");
     p.tex(dstTemp(0), srcInput(0), 0);
     p.txp(dstTemp(1), srcInput(1), 1);
@@ -265,47 +396,59 @@ TEST(Decoded, QuadTextureMatchesLegacy)
             hot.lanes[l].inputs[i] = ref.lanes[l].inputs[i];
         }
     }
-    HashTexture tex_ref, tex_hot;
+    RecordingTexture tex_ref, tex_hot;
     Interpreter legacy, decoded;
     legacy.runQuadLegacy(p, ref, &tex_ref);
-    {
-        JitMode off(false);
-        decoded.runQuad(p, hot, &tex_hot);
-    }
+    decoded.runQuad(p, hot, &tex_hot);
     for (int l = 0; l < 4; ++l)
         expectLanesIdentical(ref.lanes[l], hot.lanes[l], "tex quad lane");
-    EXPECT_EQ(tex_ref.calls, tex_hot.calls);
+    EXPECT_EQ(tex_ref.calls.size(), 3u);
+    expectCallsIdentical(tex_ref, tex_hot);
     EXPECT_EQ(legacy.stats().instructionsExecuted,
               decoded.stats().instructionsExecuted);
     EXPECT_EQ(legacy.stats().textureInstructions,
               decoded.stats().textureInstructions);
     EXPECT_EQ(legacy.stats().programsRun, decoded.stats().programsRun);
+}
 
-    // Third executor: the JIT's quad kernel calls back into the same
-    // sampler interface, with identical call ordering and TXP/TXB
-    // coordinate handling, on a partially covered quad.
-    if (jit::available()) {
-        JitMode on(true);
-        QuadState nat;
-        for (int l = 0; l < 4; ++l) {
-            nat.covered[l] = ref.covered[l];
-            for (int i = 0; i < 3; ++i)
-                nat.lanes[l].inputs[i] = ref.lanes[l].inputs[i];
+TEST(Decoded, SamplerSeesIdenticalCallSequence)
+{
+    // TEX, TXP and TXB on samplers out of index order against a
+    // recording sampler: both executors must issue the same samplers
+    // in the same order with bit-identical coordinates and biases.
+    Program p(ProgramKind::Fragment, "sampler_sequence");
+    p.tex(dstTemp(0), srcInput(0), 2);
+    p.txp(dstTemp(1), srcInput(1), 0);
+    p.txb(dstTemp(2), srcInput(2), 1);
+    p.mad(dstOutput(0), srcTemp(0), srcTemp(1), srcTemp(2));
+
+    QuadState ref, hot;
+    for (int l = 0; l < 4; ++l) {
+        ref.covered[l] = hot.covered[l] = true;
+        for (int i = 0; i < 3; ++i) {
+            Vec4 v = {0.1f * static_cast<float>(l + i), 0.75f,
+                      -0.25f, 2.0f + static_cast<float>(i)};
+            ref.lanes[l].inputs[i] = hot.lanes[l].inputs[i] = v;
         }
-        HashTexture tex_nat;
-        Interpreter jitted;
-        jitted.runQuad(p, nat, &tex_nat);
-        for (int l = 0; l < 4; ++l)
-            expectLanesIdentical(ref.lanes[l], nat.lanes[l],
-                                 "tex quad lane jit");
-        EXPECT_EQ(tex_ref.calls, tex_nat.calls);
-        EXPECT_EQ(legacy.stats().instructionsExecuted,
-                  jitted.stats().instructionsExecuted);
-        EXPECT_EQ(legacy.stats().textureInstructions,
-                  jitted.stats().textureInstructions);
-        EXPECT_EQ(legacy.stats().programsRun,
-                  jitted.stats().programsRun);
     }
+    // A zero TXP w on one lane takes the no-divide branch.
+    ref.lanes[2].inputs[1].w = hot.lanes[2].inputs[1].w = 0.0f;
+
+    RecordingTexture tex_ref, tex_hot;
+    Interpreter legacy, decoded;
+    legacy.runQuadLegacy(p, ref, &tex_ref);
+    decoded.runQuad(p, hot, &tex_hot);
+
+    ASSERT_EQ(tex_ref.calls.size(), 3u);
+    EXPECT_EQ(tex_ref.calls[0].sampler, 2);
+    EXPECT_EQ(tex_ref.calls[1].sampler, 0);
+    EXPECT_EQ(tex_ref.calls[2].sampler, 1);
+    expectCallsIdentical(tex_ref, tex_hot);
+    for (int l = 0; l < 4; ++l)
+        expectBitsEqual(ref.lanes[l].outputs[0], hot.lanes[l].outputs[0],
+                        "output");
+    EXPECT_EQ(legacy.stats().textureInstructions,
+              decoded.stats().textureInstructions);
 }
 
 TEST(Decoded, PrepareLaneEqualsFreshState)
@@ -373,7 +516,7 @@ TEST(Decoded, RunQuadsEqualsPerQuadRuns)
             }
         }
     }
-    HashTexture tex_batch, tex_loose;
+    RecordingTexture tex_batch, tex_loose;
     Interpreter batched, perquad;
     batched.runQuads(p, batch.data(), batch.size(), &tex_batch);
     for (int q = 0; q < kQuads; ++q)
@@ -383,7 +526,7 @@ TEST(Decoded, RunQuadsEqualsPerQuadRuns)
         for (int l = 0; l < 4; ++l)
             expectLanesIdentical(batch[q].lanes[l], loose[q].lanes[l],
                                  "batched quad lane");
-    EXPECT_EQ(tex_batch.calls, tex_loose.calls);
+    expectCallsIdentical(tex_batch, tex_loose);
     EXPECT_EQ(batched.stats().instructionsExecuted,
               perquad.stats().instructionsExecuted);
     EXPECT_EQ(batched.stats().textureInstructions,
