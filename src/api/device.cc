@@ -50,12 +50,15 @@ Device::apply(const Command &cmd)
         if (_sink)
             _sink->indexBufferCreated(c->id, it->second);
     } else if (const auto *c = std::get_if<CreateTextureCmd>(&cmd)) {
-        auto texture = std::make_unique<tex::Texture2D>(
-            c->spec.build(format("tex%u", c->id)));
-        tex::Texture2D *ptr = texture.get();
-        _textures[c->id] = std::move(texture);
+        if (std::string why = c->spec.invalidReason(); !why.empty()) {
+            warn("device: texture %u dropped: %s", c->id, why.c_str());
+            return;
+        }
+        TextureEntry &entry = _textures[c->id];
+        entry.spec = c->spec;
+        entry.built.reset();
         if (_sink)
-            _sink->textureCreated(c->id, *ptr);
+            _sink->textureCreated(c->id, build(c->id, entry));
     } else if (const auto *c = std::get_if<CreateProgramCmd>(&cmd)) {
         auto result = shader::assemble(c->source, c->kind,
                                        format("prog%u", c->id));
@@ -186,7 +189,7 @@ Device::createTexture(const TextureSpec &spec)
 {
     std::uint32_t id = _nextId++;
     submit(CreateTextureCmd{id, spec});
-    return id;
+    return _textures.count(id) ? id : 0;
 }
 
 std::uint32_t
@@ -270,11 +273,21 @@ Device::indexBuffer(std::uint32_t id) const
     return it != _indexBuffers.end() ? &it->second : nullptr;
 }
 
+tex::Texture2D &
+Device::build(std::uint32_t id, const TextureEntry &entry)
+{
+    if (!entry.built) {
+        entry.built = std::make_unique<tex::Texture2D>(
+            entry.spec.build(format("tex%u", id)));
+    }
+    return *entry.built;
+}
+
 const tex::Texture2D *
 Device::texture(std::uint32_t id) const
 {
     auto it = _textures.find(id);
-    return it != _textures.end() ? it->second.get() : nullptr;
+    return it != _textures.end() ? &build(id, it->second) : nullptr;
 }
 
 const shader::Program *

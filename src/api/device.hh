@@ -54,7 +54,16 @@ class DrawSink
     virtual void endFrame() {}
 };
 
-/** The device / context. */
+/**
+ * The device / context. Single-threaded: texture() builds texture
+ * content on first lookup and is not safe to call concurrently.
+ *
+ * Texture content is generated only when something consumes it. With a
+ * sink attached, CreateTexture builds the Texture2D at once, because
+ * textureCreated() binds its memory. Without one, the Device records
+ * the TextureSpec and texture() builds it on first lookup, so API-level
+ * runs, which read no texel, never build one.
+ */
 class Device
 {
   public:
@@ -79,6 +88,7 @@ class Device
     /// @{
     std::uint32_t createVertexBuffer(VertexBufferData data);
     std::uint32_t createIndexBuffer(IndexBufferData data);
+    /** @return 0 and warns when @p spec is invalid. */
     std::uint32_t createTexture(const TextureSpec &spec);
     /** @return 0 and warns when @p source fails to assemble. */
     std::uint32_t createProgram(shader::ProgramKind kind,
@@ -107,13 +117,23 @@ class Device
     /// @{
     const VertexBufferData *vertexBuffer(std::uint32_t id) const;
     const IndexBufferData *indexBuffer(std::uint32_t id) const;
+    /** Builds the texture from its spec on the first lookup. */
     const tex::Texture2D *texture(std::uint32_t id) const;
     const shader::Program *program(std::uint32_t id) const;
     /// @}
 
   private:
+    /** A created texture: its spec, and its content once built. */
+    struct TextureEntry
+    {
+        TextureSpec spec;
+        mutable std::unique_ptr<tex::Texture2D> built;
+    };
+
     void apply(const Command &cmd);
     shader::Program *mutableProgram(std::uint32_t id);
+    static tex::Texture2D &build(std::uint32_t id,
+                                 const TextureEntry &entry);
 
     GraphicsApi _apiKind;
     DrawSink *_sink = nullptr;
@@ -124,8 +144,7 @@ class Device
 
     std::unordered_map<std::uint32_t, VertexBufferData> _vertexBuffers;
     std::unordered_map<std::uint32_t, IndexBufferData> _indexBuffers;
-    std::unordered_map<std::uint32_t, std::unique_ptr<tex::Texture2D>>
-        _textures;
+    std::unordered_map<std::uint32_t, TextureEntry> _textures;
     std::unordered_map<std::uint32_t, std::unique_ptr<shader::Program>>
         _programs;
 };

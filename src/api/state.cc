@@ -1,6 +1,7 @@
 #include "api/state.hh"
 
 #include "common/log.hh"
+#include "common/strutil.hh"
 
 namespace wc3d::api {
 
@@ -14,6 +15,28 @@ int
 indexTypeBytes(IndexType t)
 {
     return t == IndexType::U16 ? 2 : 4;
+}
+
+bool
+TextureSpec::validSize(int size)
+{
+    return size >= 1 && size <= kMaxSize && (size & (size - 1)) == 0;
+}
+
+std::string
+TextureSpec::invalidReason() const
+{
+    // TextureSpec::format (the storage format) hides wc3d::format.
+    if (!validSize(size)) {
+        return wc3d::format(
+            "texture size %d is not a power of two in [1, %d]", size,
+            kMaxSize);
+    }
+    if (cell < 1 || cell > size) {
+        return wc3d::format("texture cell %d outside [1, size=%d]", cell,
+                            size);
+    }
+    return {};
 }
 
 tex::Texture2D

@@ -98,6 +98,19 @@ struct TextureSpec
     Rgba8 colorB{40, 40, 40, 255};
     tex::TexFormat format = tex::TexFormat::DXT1;
 
+    /** Largest texture edge a spec may ask for. */
+    static constexpr int kMaxSize = 8192;
+
+    /** @return true when @p size is a power of two in [1, kMaxSize]. */
+    static bool validSize(int size);
+
+    /**
+     * Why build() cannot instantiate this spec, or an empty string when
+     * it can: validSize(size) must hold and cell must lie in [1, size].
+     * The trace reader and the Device both refuse specs that fail here.
+     */
+    std::string invalidReason() const;
+
     /** Instantiate the texture this spec describes. */
     tex::Texture2D build(const std::string &name) const;
 };

@@ -359,22 +359,16 @@ readTextureSpec(Cursor &c)
 {
     TextureSpec s;
     s.kind = c.enum8("texture kind", TextureSpec::Kind::Gradient);
-    std::size_t at = c.pos;
-    std::uint32_t size = c.u32();
-    if (!c.failed() &&
-        (size < 1 ||
-         size > static_cast<std::uint32_t>(kTraceMaxTextureSize))) {
-        c.failAt(at, format("texture size %u outside [1, %d]", size,
-                            kTraceMaxTextureSize));
+    const std::size_t size_at = c.pos;
+    s.size = static_cast<int>(c.u32());
+    const std::size_t cell_at = c.pos;
+    s.cell = static_cast<int>(c.u32());
+    if (!c.failed()) {
+        if (std::string why = s.invalidReason(); !why.empty()) {
+            c.failAt(TextureSpec::validSize(s.size) ? cell_at : size_at,
+                     why);
+        }
     }
-    s.size = static_cast<int>(size);
-    at = c.pos;
-    std::uint32_t cell = c.u32();
-    if (!c.failed() && (cell < 1 || cell > size)) {
-        c.failAt(at, format("texture cell %u outside [1, size=%u]",
-                            cell, size));
-    }
-    s.cell = static_cast<int>(cell);
     s.seed = c.u64();
     s.colorA = Rgba8::fromPacked(c.u32());
     s.colorB = Rgba8::fromPacked(c.u32());

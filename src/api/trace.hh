@@ -52,7 +52,6 @@ struct TraceError
 constexpr std::uint32_t kTraceMaxVertices = 1u << 28;
 constexpr std::uint32_t kTraceMaxIndices = 1u << 28;
 constexpr std::uint32_t kTraceMaxStringBytes = 1u << 24;
-constexpr int kTraceMaxTextureSize = 8192;
 constexpr int kTraceMaxStrideFloats = 256;
 constexpr int kTraceMaxAniso = 64;
 /// @}

@@ -8,16 +8,6 @@
 
 namespace wc3d {
 
-std::uint8_t
-floatToUnorm8(float v)
-{
-    if (v <= 0.0f)
-        return 0;
-    if (v >= 1.0f)
-        return 255;
-    return static_cast<std::uint8_t>(v * 255.0f + 0.5f);
-}
-
 float
 unorm8ToFloat(std::uint8_t v)
 {

@@ -21,9 +21,12 @@ namespace wc3d::tex {
  * @param texels 16 texels, row-major
  * @param format DXT1, DXT3 or DXT5
  * @param out    destination, blockBytes(format) bytes
+ * @param decoded when non-null, receives exactly what decodeBlock()
+ *        returns for @p out, taken from the encoder's own palettes;
+ *        must not alias @p texels
  */
 void encodeBlock(const Rgba8 texels[16], TexFormat format,
-                 std::uint8_t *out);
+                 std::uint8_t *out, Rgba8 decoded[16] = nullptr);
 
 /**
  * Decode a DXT block back to 16 RGBA8 texels.

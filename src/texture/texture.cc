@@ -1,7 +1,7 @@
 #include "texture/texture.hh"
-#include <cmath>
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/log.hh"
 #include "texture/dxt.hh"
@@ -20,57 +20,72 @@ isPow2(int v)
 Image
 downsample(const Image &src)
 {
-    int w = std::max(1, src.width() / 2);
-    int h = std::max(1, src.height() / 2);
+    const int sw = src.width(), sh = src.height();
+    const int w = std::max(1, sw / 2);
+    const int h = std::max(1, sh / 2);
     Image dst(w, h);
+    const Rgba8 *in = src.pixels().data();
+    Rgba8 *out = dst.pixels().data();
+    auto avg = [](int a, int b, int c, int d) {
+        return static_cast<std::uint8_t>((a + b + c + d + 2) / 4);
+    };
     for (int y = 0; y < h; ++y) {
+        const Rgba8 *row0 = in + static_cast<std::size_t>(
+                                     std::min(2 * y, sh - 1)) * sw;
+        const Rgba8 *row1 = in + static_cast<std::size_t>(
+                                     std::min(2 * y + 1, sh - 1)) * sw;
+        Rgba8 *dst_row = out + static_cast<std::size_t>(y) * w;
         for (int x = 0; x < w; ++x) {
-            int x0 = std::min(2 * x, src.width() - 1);
-            int x1 = std::min(2 * x + 1, src.width() - 1);
-            int y0 = std::min(2 * y, src.height() - 1);
-            int y1 = std::min(2 * y + 1, src.height() - 1);
-            Rgba8 p00 = src.at(x0, y0), p10 = src.at(x1, y0);
-            Rgba8 p01 = src.at(x0, y1), p11 = src.at(x1, y1);
-            auto avg = [](int a, int b, int c, int d) {
-                return static_cast<std::uint8_t>((a + b + c + d + 2) / 4);
-            };
-            dst.set(x, y, {avg(p00.r, p10.r, p01.r, p11.r),
-                           avg(p00.g, p10.g, p01.g, p11.g),
-                           avg(p00.b, p10.b, p01.b, p11.b),
-                           avg(p00.a, p10.a, p01.a, p11.a)});
+            int x0 = std::min(2 * x, sw - 1);
+            int x1 = std::min(2 * x + 1, sw - 1);
+            Rgba8 p00 = row0[x0], p10 = row0[x1];
+            Rgba8 p01 = row1[x0], p11 = row1[x1];
+            dst_row[x] = {avg(p00.r, p10.r, p01.r, p11.r),
+                          avg(p00.g, p10.g, p01.g, p11.g),
+                          avg(p00.b, p10.b, p01.b, p11.b),
+                          avg(p00.a, p10.a, p01.a, p11.a)};
         }
     }
     return dst;
 }
 
-/** Encode-then-decode an image through the DXT codec (lossy round trip). */
+/**
+ * Encode-then-decode an image through the DXT codec (lossy round trip).
+ * Blocks past the right or bottom edge are padded by clamping.
+ */
 std::vector<Rgba8>
 roundTripCompress(const Image &img, TexFormat format)
 {
-    std::vector<Rgba8> out(
-        static_cast<std::size_t>(img.width()) * img.height());
+    const int w = img.width(), h = img.height();
+    std::vector<Rgba8> out(static_cast<std::size_t>(w) * h);
+    const Rgba8 *in = img.pixels().data();
     std::uint8_t encoded[16];
     Rgba8 block[16];
-    for (int by = 0; by * kBlockDim < img.height(); ++by) {
-        for (int bx = 0; bx * kBlockDim < img.width(); ++bx) {
+    Rgba8 decoded[16];
+    for (int by = 0; by * kBlockDim < h; ++by) {
+        const Rgba8 *rows[kBlockDim];
+        for (int ty = 0; ty < kBlockDim; ++ty) {
+            int y = std::min(by * kBlockDim + ty, h - 1);
+            rows[ty] = in + static_cast<std::size_t>(y) * w;
+        }
+        const int rows_left = std::min(kBlockDim, h - by * kBlockDim);
+        for (int bx = 0; bx * kBlockDim < w; ++bx) {
+            const int x0 = bx * kBlockDim;
             for (int ty = 0; ty < kBlockDim; ++ty) {
                 for (int tx = 0; tx < kBlockDim; ++tx) {
-                    int x = std::min(bx * kBlockDim + tx, img.width() - 1);
-                    int y = std::min(by * kBlockDim + ty, img.height() - 1);
-                    block[ty * kBlockDim + tx] = img.at(x, y);
+                    block[ty * kBlockDim + tx] =
+                        rows[ty][std::min(x0 + tx, w - 1)];
                 }
             }
-            encodeBlock(block, format, encoded);
-            decodeBlock(encoded, format, block);
-            for (int ty = 0; ty < kBlockDim; ++ty) {
-                for (int tx = 0; tx < kBlockDim; ++tx) {
-                    int x = bx * kBlockDim + tx;
-                    int y = by * kBlockDim + ty;
-                    if (x < img.width() && y < img.height()) {
-                        out[static_cast<std::size_t>(y) * img.width() + x] =
-                            block[ty * kBlockDim + tx];
-                    }
-                }
+            encodeBlock(block, format, encoded, decoded);
+            const int cols_left = std::min(kBlockDim, w - x0);
+            for (int ty = 0; ty < rows_left; ++ty) {
+                Rgba8 *dst = out.data() +
+                             static_cast<std::size_t>(by * kBlockDim + ty) *
+                                 w +
+                             x0;
+                for (int tx = 0; tx < cols_left; ++tx)
+                    dst[tx] = decoded[ty * kBlockDim + tx];
             }
         }
     }
@@ -79,18 +94,17 @@ roundTripCompress(const Image &img, TexFormat format)
 
 } // namespace
 
-Texture2D::Texture2D(std::string name, const Image &base, TexFormat format)
+Texture2D::Texture2D(std::string name, Image base, TexFormat format)
     : _name(std::move(name)), _format(format), _width(base.width()),
       _height(base.height())
 {
     WC3D_ASSERT(isPow2(_width) && isPow2(_height));
-    buildLevels(base);
+    buildLevels(std::move(base));
 }
 
 void
-Texture2D::buildLevels(const Image &base)
+Texture2D::buildLevels(Image current)
 {
-    Image current = base;
     std::uint64_t virt_off = 0;
     std::uint64_t mem_off = 0;
     for (;;) {
@@ -99,11 +113,12 @@ Texture2D::buildLevels(const Image &base)
         lvl.height = current.height();
         lvl.blocksX = (lvl.width + kBlockDim - 1) / kBlockDim;
         lvl.blocksY = (lvl.height + kBlockDim - 1) / kBlockDim;
-        if (isCompressed(_format)) {
+        bool last = lvl.width == 1 && lvl.height == 1;
+        if (isCompressed(_format))
             lvl.decoded = roundTripCompress(current, _format);
-        } else {
-            lvl.decoded = current.pixels();
-        }
+        Image next = last ? Image() : downsample(current);
+        if (!isCompressed(_format))
+            lvl.decoded = std::move(current.pixels());
         lvl.virtOffset = virt_off;
         lvl.memOffset = mem_off;
         std::uint64_t blocks =
@@ -112,11 +127,10 @@ Texture2D::buildLevels(const Image &base)
         mem_off += blocks * blockBytes(_format);
         _decodedBytes += blocks * kDecodedBlockBytes;
         _storageBytes += blocks * blockBytes(_format);
-        bool last = lvl.width == 1 && lvl.height == 1;
         _levels.push_back(std::move(lvl));
         if (last)
             break;
-        current = downsample(current);
+        current = std::move(next);
     }
 }
 
@@ -168,10 +182,13 @@ Texture2D::checkerboard(std::string name, int size, int cell, Rgba8 a,
 {
     WC3D_ASSERT(cell > 0);
     Image img(size, size);
-    for (int y = 0; y < size; ++y)
+    Rgba8 *row = img.pixels().data();
+    for (int y = 0; y < size; ++y, row += size) {
+        const int cy = y / cell;
         for (int x = 0; x < size; ++x)
-            img.set(x, y, (((x / cell) + (y / cell)) & 1) ? b : a);
-    return Texture2D(std::move(name), img, format);
+            row[x] = (((x / cell) + cy) & 1) ? b : a;
+    }
+    return Texture2D(std::move(name), std::move(img), format);
 }
 
 Texture2D
@@ -182,38 +199,62 @@ Texture2D::noise(std::string name, int size, std::uint64_t seed,
     // Smooth value noise: random lattice at 1/8 resolution, bilinearly
     // upsampled, so DXT compression behaves like it does on real art
     // (smooth regions compress well, detail regions less so).
-    int lattice = std::max(2, size / 8);
+    const int lattice = std::max(2, size / 8);
+    const int mask = lattice - 1;
     std::vector<float> values(
         static_cast<std::size_t>(lattice) * lattice);
     for (auto &v : values)
         v = rng.nextFloat();
-    auto at = [&](int x, int y) {
-        x &= lattice - 1;
-        y &= lattice - 1;
-        return values[static_cast<std::size_t>(y) * lattice + x];
+
+    // Per-column lattice cell and weight. Each texel is
+    //   lerp(lerp(v(ix, iy), v(ix+1, iy), tx),
+    //        lerp(v(ix, iy+1), v(ix+1, iy+1), tx), ty)
+    // and the inner lerps depend only on (x, iy), so they are computed
+    // once per lattice row and shared by every image row in it.
+    std::vector<int> col0(static_cast<std::size_t>(size));
+    std::vector<int> col1(static_cast<std::size_t>(size));
+    std::vector<float> col_t(static_cast<std::size_t>(size));
+    for (int x = 0; x < size; ++x) {
+        float fx = static_cast<float>(x) * lattice / size;
+        int ix = static_cast<int>(fx);
+        col0[static_cast<std::size_t>(x)] = ix & mask;
+        col1[static_cast<std::size_t>(x)] = (ix + 1) & mask;
+        col_t[static_cast<std::size_t>(x)] = fx - ix;
+    }
+    auto lerpRow = [&](int iy, std::vector<float> &dst) {
+        const float *r =
+            values.data() + static_cast<std::size_t>(iy & mask) * lattice;
+        for (std::size_t x = 0; x < dst.size(); ++x)
+            dst[x] = std::lerp(r[col0[x]], r[col1[x]], col_t[x]);
     };
+    std::vector<float> top(static_cast<std::size_t>(size));
+    std::vector<float> bottom(static_cast<std::size_t>(size));
+    int row_iy = -1;
+
     Image img(size, size);
-    for (int y = 0; y < size; ++y) {
+    Rgba8 *row = img.pixels().data();
+    for (int y = 0; y < size; ++y, row += size) {
+        float fy = static_cast<float>(y) * lattice / size;
+        int iy = static_cast<int>(fy);
+        float ty = fy - iy;
+        if (iy != row_iy) {
+            lerpRow(iy, top);
+            lerpRow(iy + 1, bottom);
+            row_iy = iy;
+        }
         for (int x = 0; x < size; ++x) {
-            float fx = static_cast<float>(x) * lattice / size;
-            float fy = static_cast<float>(y) * lattice / size;
-            int ix = static_cast<int>(fx);
-            int iy = static_cast<int>(fy);
-            float tx = fx - ix, ty = fy - iy;
-            float v = std::lerp(
-                std::lerp(at(ix, iy), at(ix + 1, iy), tx),
-                std::lerp(at(ix, iy + 1), at(ix + 1, iy + 1), tx), ty);
+            float v = std::lerp(top[static_cast<std::size_t>(x)],
+                                bottom[static_cast<std::size_t>(x)], ty);
             auto g = floatToUnorm8(v);
             // Alpha carries the noise too so alpha-test (KIL) materials
             // and alpha blending see realistic variation.
-            img.set(x, y, {g, static_cast<std::uint8_t>(g / 2 + 64),
-                           static_cast<std::uint8_t>(255 - g),
-                           alpha_noise
-                               ? static_cast<std::uint8_t>(255 - g)
-                               : static_cast<std::uint8_t>(255)});
+            row[x] = {g, static_cast<std::uint8_t>(g / 2 + 64),
+                      static_cast<std::uint8_t>(255 - g),
+                      alpha_noise ? static_cast<std::uint8_t>(255 - g)
+                                  : static_cast<std::uint8_t>(255)};
         }
     }
-    return Texture2D(std::move(name), img, format);
+    return Texture2D(std::move(name), std::move(img), format);
 }
 
 Texture2D
@@ -221,17 +262,17 @@ Texture2D::gradient(std::string name, int size, Rgba8 from, Rgba8 to,
                     TexFormat format)
 {
     Image img(size, size);
-    for (int y = 0; y < size; ++y) {
+    Rgba8 *row = img.pixels().data();
+    for (int y = 0; y < size; ++y, row += size) {
         float t = size > 1 ? static_cast<float>(y) / (size - 1) : 0.0f;
-        for (int x = 0; x < size; ++x) {
-            auto mix = [t](std::uint8_t a, std::uint8_t b) {
-                return static_cast<std::uint8_t>(a + (b - a) * t);
-            };
-            img.set(x, y, {mix(from.r, to.r), mix(from.g, to.g),
-                           mix(from.b, to.b), mix(from.a, to.a)});
-        }
+        auto mix = [t](std::uint8_t a, std::uint8_t b) {
+            return static_cast<std::uint8_t>(a + (b - a) * t);
+        };
+        std::fill(row, row + size,
+                  Rgba8{mix(from.r, to.r), mix(from.g, to.g),
+                        mix(from.b, to.b), mix(from.a, to.a)});
     }
-    return Texture2D(std::move(name), img, format);
+    return Texture2D(std::move(name), std::move(img), format);
 }
 
 } // namespace wc3d::tex

@@ -34,7 +34,7 @@ class Texture2D
 {
   public:
     /** Build from a base image, generating a full mip chain. */
-    Texture2D(std::string name, const Image &base, TexFormat format);
+    Texture2D(std::string name, Image base, TexFormat format);
 
     /** Procedural checkerboard (power-of-two @p size). */
     static Texture2D checkerboard(std::string name, int size, int cell,
@@ -114,7 +114,7 @@ class Texture2D
         std::uint64_t memOffset = 0;
     };
 
-    void buildLevels(const Image &base);
+    void buildLevels(Image base);
 
     const Level &
     level(int l) const

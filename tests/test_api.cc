@@ -32,9 +32,10 @@ class RecordingSink : public DrawSink
         ibIds.push_back(id);
     }
     void
-    textureCreated(std::uint32_t id, tex::Texture2D &) override
+    textureCreated(std::uint32_t id, tex::Texture2D &texture) override
     {
         texIds.push_back(id);
+        textures.push_back(&texture);
     }
     void
     programCreated(std::uint32_t id, const shader::Program &) override
@@ -50,6 +51,7 @@ class RecordingSink : public DrawSink
     void endFrame() override { ++frames; }
 
     std::vector<std::uint32_t> vbIds, ibIds, texIds, progIds;
+    std::vector<const tex::Texture2D *> textures;
     std::vector<DrawCall> draws;
     int clears = 0;
     int frames = 0;
@@ -98,6 +100,35 @@ struct Fixture
         dev.bindProgram(shader::ProgramKind::Fragment, fp);
     }
 };
+
+/** Same geometry, storage footprint and decoded texels at every level. */
+void
+expectSameTexture(const tex::Texture2D &a, const tex::Texture2D &b)
+{
+    EXPECT_EQ(a.format(), b.format());
+    EXPECT_EQ(a.storageBytes(), b.storageBytes());
+    ASSERT_EQ(a.levels(), b.levels());
+    for (int l = 0; l < a.levels(); ++l) {
+        ASSERT_EQ(a.levelWidth(l), b.levelWidth(l));
+        ASSERT_EQ(a.levelHeight(l), b.levelHeight(l));
+        for (int y = 0; y < a.levelHeight(l); ++y)
+            for (int x = 0; x < a.levelWidth(l); ++x)
+                ASSERT_EQ(a.texel(l, x, y), b.texel(l, x, y))
+                    << "level " << l << " (" << x << ", " << y << ")";
+    }
+}
+
+TextureSpec
+noiseSpec()
+{
+    TextureSpec spec;
+    spec.kind = TextureSpec::Kind::Noise;
+    spec.size = 64;
+    spec.seed = 7;
+    spec.alphaNoise = true;
+    spec.format = tex::TexFormat::DXT5;
+    return spec;
+}
 
 } // namespace
 
@@ -215,6 +246,82 @@ TEST(Device, TextureBindingResolved)
     EXPECT_EQ(call.textures[2], f.dev.texture(tid));
     EXPECT_EQ(call.state.samplers[2].maxAniso, 16);
     EXPECT_EQ(call.textures[0], nullptr);
+}
+
+TEST(Device, SinklessTextureBuiltOnLookupMatchesSpec)
+{
+    Device dev;
+    TextureSpec spec = noiseSpec();
+    std::uint32_t id = dev.createTexture(spec);
+    ASSERT_NE(id, 0u);
+    const tex::Texture2D *t = dev.texture(id);
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(dev.texture(id), t); // built once, then kept
+    expectSameTexture(*t, spec.build("reference"));
+    EXPECT_EQ(dev.texture(id + 1), nullptr);
+}
+
+TEST(Device, SinkGetsTextureAtCreationAndTheSameInDraws)
+{
+    Fixture f;
+    std::uint32_t id = f.dev.createTexture(noiseSpec());
+    ASSERT_EQ(f.sink.texIds, std::vector<std::uint32_t>{id});
+    const tex::Texture2D *created = f.sink.textures[0];
+    expectSameTexture(*created, noiseSpec().build("reference"));
+    f.dev.bindTexture(1, id, tex::SamplerState{});
+    f.dev.draw(f.vb, f.ib, 0, 3, geom::PrimitiveType::TriangleList);
+    EXPECT_EQ(f.sink.draws.back().textures[1], created);
+    EXPECT_EQ(f.dev.texture(id), created);
+}
+
+TEST(Device, RedefinedTextureRebuiltFromNewSpec)
+{
+    TextureSpec first;
+    first.kind = TextureSpec::Kind::Checker;
+    first.size = 16;
+    first.format = tex::TexFormat::RGBA8;
+    TextureSpec second = noiseSpec();
+
+    // Without a sink: a texture built from the first spec is dropped.
+    Device dev;
+    dev.submit(CreateTextureCmd{5, first});
+    ASSERT_NE(dev.texture(5), nullptr);
+    EXPECT_EQ(dev.texture(5)->width(), 16);
+    dev.submit(CreateTextureCmd{5, second});
+    ASSERT_NE(dev.texture(5), nullptr);
+    expectSameTexture(*dev.texture(5), second.build("reference"));
+
+    // With a sink: each definition is built and handed over.
+    Fixture f;
+    f.dev.submit(CreateTextureCmd{5, first});
+    f.dev.submit(CreateTextureCmd{5, second});
+    ASSERT_EQ(f.sink.textures.size(), 2u);
+    EXPECT_EQ(f.dev.texture(5), f.sink.textures[1]);
+    expectSameTexture(*f.dev.texture(5), second.build("reference"));
+}
+
+TEST(Device, InvalidTextureSpecDropped)
+{
+    TextureSpec bad = noiseSpec();
+    bad.size = 3; // Texture2D needs a power of two
+    EXPECT_NE(bad.invalidReason(), "");
+    Fixture f;
+    EXPECT_EQ(f.dev.createTexture(bad), 0u);
+    EXPECT_TRUE(f.sink.textures.empty());
+
+    // A bad redefinition leaves the existing texture in place.
+    std::uint32_t id = f.dev.createTexture(noiseSpec());
+    f.dev.submit(CreateTextureCmd{id, bad});
+    TextureSpec bad_cell = noiseSpec();
+    bad_cell.cell = bad_cell.size + 1;
+    f.dev.submit(CreateTextureCmd{id, bad_cell});
+    EXPECT_EQ(f.sink.textures.size(), 1u);
+    ASSERT_NE(f.dev.texture(id), nullptr);
+    EXPECT_EQ(f.dev.texture(id)->width(), 64);
+
+    Device sinkless;
+    sinkless.submit(CreateTextureCmd{9, bad});
+    EXPECT_EQ(sinkless.texture(9), nullptr);
 }
 
 TEST(Device, SetConstantReachesBoundProgram)

@@ -12,6 +12,7 @@
 #include "core/buses.hh"
 #include "core/microarch.hh"
 #include "core/runner.hh"
+#include "workloads/games.hh"
 
 using namespace wc3d;
 using namespace wc3d::core;
@@ -39,6 +40,44 @@ TEST(Runner, ApiLevelRunProducesStats)
     EXPECT_EQ(run.frames, 5);
     EXPECT_EQ(run.stats.frames(), 5u);
     EXPECT_GT(run.stats.batches(), 0u);
+}
+
+TEST(Runner, ApiLevelStatsDoNotDependOnTextureContent)
+{
+    // runApiLevel's Device has no sink, so it never builds a texture.
+    // A Device whose sink takes every texture at creation must count
+    // exactly the same API statistics.
+    class TextureSink : public api::DrawSink
+    {
+      public:
+        void
+        textureCreated(std::uint32_t, tex::Texture2D &t) override
+        {
+            storageBytes += t.storageBytes();
+        }
+        std::uint64_t storageBytes = 0;
+    };
+    const char *id = "quake4/demo4";
+    ApiRun run = runApiLevel(id, 3);
+    api::Device device(workloads::gameProfile(id).apiKind);
+    TextureSink sink;
+    device.setSink(&sink);
+    workloads::makeTimedemo(id)->run(device, 3);
+    EXPECT_GT(sink.storageBytes, 0u);
+
+    const api::ApiStats &a = run.stats;
+    const api::ApiStats &b = device.stats();
+    EXPECT_EQ(a.frames(), b.frames());
+    EXPECT_EQ(a.batches(), b.batches());
+    EXPECT_EQ(a.indices(), b.indices());
+    EXPECT_EQ(a.indexBytes(), b.indexBytes());
+    EXPECT_EQ(a.stateCalls(), b.stateCalls());
+    EXPECT_EQ(a.primitives(), b.primitives());
+    EXPECT_EQ(a.avgVertexShaderInstructions(),
+              b.avgVertexShaderInstructions());
+    EXPECT_EQ(a.avgFragmentInstructions(), b.avgFragmentInstructions());
+    EXPECT_EQ(a.avgFragmentTexInstructions(),
+              b.avgFragmentTexInstructions());
 }
 
 TEST(Runner, MicroRunHasPipelineActivity)

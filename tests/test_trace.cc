@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -373,6 +374,36 @@ TEST(Trace, RejectsBadTextureSpec)
     bytes[format_at] = 11;
     expectRejected(bytes, "texture format out of range: 11 > 3",
                    format_at);
+}
+
+TEST(Trace, RejectsNonPowerOfTwoTextureSize)
+{
+    // The writer encodes any spec; the reader must refuse one that
+    // Texture2D cannot build, at the size field, whether or not the
+    // replaying Device has a sink that would build it.
+    CreateTextureCmd tx;
+    tx.id = 1;
+    tx.spec.size = 3;
+    tx.spec.cell = 1;
+    Bytes bytes = encode({Command{tx}}, tempPath("wc3d_trace_base.bin"));
+    const std::size_t size_at = kRec0Pay + 4 + 1;
+    expectRejected(bytes, "texture size 3 is not a power of two",
+                   size_at);
+
+    patchU32(bytes, size_at, 2 * TextureSpec::kMaxSize);
+    expectRejected(bytes, "texture size", size_at);
+
+    // The largest legal size passes the spec check.
+    patchU32(bytes, size_at, TextureSpec::kMaxSize);
+    std::string path = tempPath("wc3d_trace_max.bin");
+    writeFileBytes(path, bytes);
+    TraceReader reader(path);
+    ASSERT_TRUE(reader.ok());
+    std::optional<Command> cmd = reader.next();
+    ASSERT_TRUE(cmd.has_value()) << reader.error()->describe();
+    EXPECT_EQ(std::get<CreateTextureCmd>(*cmd).spec.size,
+              TextureSpec::kMaxSize);
+    std::remove(path.c_str());
 }
 
 TEST(Trace, RejectsBadVertexBuffer)
