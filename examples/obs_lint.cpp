@@ -1,13 +1,12 @@
 /**
  * @file
  * Validate observability artifacts: a Chrome trace written via
- * WC3D_TRACE_OUT, a metrics manifest written via WC3D_METRICS_OUT, a
- * serve-daemon manifest (WC3D_SERVE_METRICS_OUT), and/or a whole
- * fleet store directory. Used by CI after a traced simulation run.
+ * WC3D_TRACE_OUT, a metrics manifest written via WC3D_METRICS_OUT
+ * and/or a whole fleet store directory. Used by CI after a traced
+ * simulation run.
  *
  *   obs_lint [--trace trace.json] [--metrics metrics.json]
- *            [--serve-metrics serve.json] [--fleet DIR]
- *            [--expect-span NAME]...
+ *            [--fleet DIR] [--expect-span NAME]...
  *
  * --expect-span asserts the trace contains at least one complete span
  * with the given name (repeatable). CI uses it to prove the pipeline
@@ -112,27 +111,6 @@ lintMetrics(const std::string &path)
     return true;
 }
 
-bool
-lintServeMetrics(const std::string &path)
-{
-    json::Value doc;
-    std::string error;
-    if (!json::parseFile(path, doc, &error)) {
-        std::fprintf(stderr, "obs_lint: %s: %s\n", path.c_str(),
-                     error.c_str());
-        return false;
-    }
-    if (!fleet::validateServeMetrics(doc, &error)) {
-        std::fprintf(stderr, "obs_lint: %s: %s\n", path.c_str(),
-                     error.c_str());
-        return false;
-    }
-    const json::Value *jobs = doc.find("jobs");
-    std::printf("%s: valid serve manifest, %zu archived job(s)\n",
-                path.c_str(), jobs ? jobs->size() : 0);
-    return true;
-}
-
 /** Store-consistency mode: open the fleet store and run check(). */
 bool
 lintFleet(const std::string &dir)
@@ -163,7 +141,6 @@ main(int argc, char **argv)
 {
     std::string trace_path;
     std::string metrics_path;
-    std::string serve_path;
     std::string fleet_dir;
     std::vector<std::string> expect_spans;
     for (int i = 1; i < argc; ++i) {
@@ -172,9 +149,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--metrics") == 0 &&
                    i + 1 < argc) {
             metrics_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--serve-metrics") == 0 &&
-                   i + 1 < argc) {
-            serve_path = argv[++i];
         } else if (std::strcmp(argv[i], "--fleet") == 0 &&
                    i + 1 < argc) {
             fleet_dir = argv[++i];
@@ -184,16 +158,15 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: obs_lint [--trace file] "
-                         "[--metrics file] [--serve-metrics file] "
-                         "[--fleet dir] [--expect-span NAME]...\n");
+                         "[--metrics file] [--fleet dir] "
+                         "[--expect-span NAME]...\n");
             return 1;
         }
     }
-    if (trace_path.empty() && metrics_path.empty() &&
-        serve_path.empty() && fleet_dir.empty()) {
+    if (trace_path.empty() && metrics_path.empty() && fleet_dir.empty()) {
         std::fprintf(stderr,
                      "obs_lint: nothing to validate (pass --trace, "
-                     "--metrics, --serve-metrics and/or --fleet)\n");
+                     "--metrics and/or --fleet)\n");
         return 1;
     }
     if (trace_path.empty() && !expect_spans.empty()) {
@@ -206,8 +179,6 @@ main(int argc, char **argv)
         ok = lintTrace(trace_path, expect_spans) && ok;
     if (!metrics_path.empty())
         ok = lintMetrics(metrics_path) && ok;
-    if (!serve_path.empty())
-        ok = lintServeMetrics(serve_path) && ok;
     if (!fleet_dir.empty())
         ok = lintFleet(fleet_dir) && ok;
     return ok ? 0 : 1;

@@ -39,8 +39,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: wc3d-fleet [--dir DIR] COMMAND\n"
-        "  ingest FILE...                  add metrics/serve/bench "
-        "documents\n"
+        "  ingest FILE...                  add metrics/bench documents\n"
         "  list                            show every index entry\n"
         "  query --phases SEQ              per-stage time breakdown\n"
         "  query --counters SEQ [--prefix P]\n"

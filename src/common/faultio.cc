@@ -8,7 +8,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "common/env.hh"
 #include "common/strutil.hh"
 
 namespace wc3d::faultio {
@@ -17,31 +16,12 @@ namespace {
 
 std::mutex planMutex;
 FaultPlan activePlan;
-bool planLoaded = false;
 std::atomic<std::uint64_t> writeCount{0};
-
-FaultPlan
-loadFromEnv()
-{
-    FaultPlan p;
-    p.failNthWrite =
-        static_cast<std::uint64_t>(envInt("WC3D_FAULT_WRITE_FAIL_NTH", 0));
-    p.shortNthWrite =
-        static_cast<std::uint64_t>(envInt("WC3D_FAULT_WRITE_SHORT_NTH", 0));
-    p.allEnospc = envInt("WC3D_FAULT_ENOSPC", 0) != 0;
-    p.crashAfterWrites = static_cast<std::uint64_t>(
-        envInt("WC3D_FAULT_CRASH_AFTER_WRITES", 0));
-    return p;
-}
 
 FaultPlan
 currentPlan()
 {
     std::lock_guard<std::mutex> lock(planMutex);
-    if (!planLoaded) {
-        activePlan = loadFromEnv();
-        planLoaded = true;
-    }
     return activePlan;
 }
 
@@ -86,27 +66,11 @@ IoError::describe() const
     return format("%s '%s': %s", op.c_str(), path.c_str(), reason.c_str());
 }
 
-FaultPlan
-plan()
-{
-    return currentPlan();
-}
-
 void
 setPlan(const FaultPlan &plan)
 {
     std::lock_guard<std::mutex> lock(planMutex);
     activePlan = plan;
-    planLoaded = true;
-    writeCount.store(0, std::memory_order_relaxed);
-}
-
-void
-resetFromEnv()
-{
-    std::lock_guard<std::mutex> lock(planMutex);
-    activePlan = loadFromEnv();
-    planLoaded = true;
     writeCount.store(0, std::memory_order_relaxed);
 }
 
@@ -128,8 +92,9 @@ writeAll(int fd, const void *data, std::size_t size,
     if (p.allEnospc || (p.failNthWrite != 0 && seq == p.failNthWrite)) {
         return fail(err, "write", path,
                     p.allEnospc
-                        ? "injected ENOSPC (WC3D_FAULT_ENOSPC)"
-                        : "injected ENOSPC (WC3D_FAULT_WRITE_FAIL_NTH)");
+                        ? "injected ENOSPC (every write)"
+                        : format("injected ENOSPC (write %llu)",
+                                 static_cast<unsigned long long>(seq)));
     }
     if (p.shortNthWrite != 0 && seq == p.shortNthWrite) {
         // Persist half the payload for real — a torn record on disk is
@@ -139,20 +104,11 @@ writeAll(int fd, const void *data, std::size_t size,
         if (half > 0)
             rawWriteAll(fd, bytes, half, path, nullptr);
         return fail(err, "write", path,
-                    format("injected short write: %zu of %zu bytes "
-                           "(WC3D_FAULT_WRITE_SHORT_NTH)",
+                    format("injected short write: %zu of %zu bytes",
                            half, size));
     }
 
-    if (!rawWriteAll(fd, bytes, size, path, err))
-        return false;
-
-    if (p.crashAfterWrites != 0 && seq >= p.crashAfterWrites) {
-        // Power-loss point: the write above reached the kernel, nothing
-        // after it (rename, directory sync, ...) will happen.
-        ::_exit(kCrashExitStatus);
-    }
-    return true;
+    return rawWriteAll(fd, bytes, size, path, err);
 }
 
 bool

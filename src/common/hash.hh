@@ -1,8 +1,8 @@
 /**
  * @file
  * FNV-1a 64-bit, the one non-cryptographic byte hash of the code base:
- * journal record checksums, run-cache shape fingerprints, fleet blob
- * addresses and image content hashes all use it. Parameters are the
+ * fleet blob addresses, image content hashes and the texture golden
+ * level hashes all use it. Parameters are the
  * published ones (offset basis 14695981039346656037, prime
  * 1099511628211), so fnv1a64("") = 0xcbf29ce484222325 and
  * fnv1a64("a") = 0xaf63dc4c8601ec8c.

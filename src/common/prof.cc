@@ -26,6 +26,14 @@ std::atomic<bool> gEnabled{false};
 
 namespace {
 
+/** The WC3D_TRACE_OUT path ("" when unset). */
+std::string
+tracePath()
+{
+    const char *v = std::getenv("WC3D_TRACE_OUT");
+    return (v && *v) ? std::string(v) : std::string();
+}
+
 /** One completed span. */
 struct Event
 {
@@ -376,13 +384,6 @@ void
 setEnabled(bool on)
 {
     detail::gEnabled.store(on, std::memory_order_relaxed);
-}
-
-std::string
-tracePath()
-{
-    const char *v = std::getenv("WC3D_TRACE_OUT");
-    return (v && *v) ? std::string(v) : std::string();
 }
 
 void

@@ -102,6 +102,59 @@ countersToJson(const gpu::PipelineCounters &c)
     return out;
 }
 
+/** The WC3D_METRICS_OUT path ("" when unset). */
+std::string
+metricsPath()
+{
+    return envString("WC3D_METRICS_OUT", "");
+}
+
+/** `git describe --always --dirty` of the cwd, or "unknown". */
+std::string
+gitDescribe()
+{
+    static const std::string kDescribe = [] {
+        std::string out = "unknown";
+        std::FILE *p =
+            ::popen("git describe --always --dirty 2>/dev/null", "r");
+        if (!p)
+            return out;
+        char buf[256];
+        std::string raw;
+        while (std::fgets(buf, sizeof(buf), p))
+            raw += buf;
+        int status = ::pclose(p);
+        std::string described = trim(raw);
+        if (status == 0 && !described.empty())
+            out = described;
+        return out;
+    }();
+    return kDescribe;
+}
+
+/**
+ * The manifest `host` block: hostname, hardware threads and the
+ * machine-shaping knobs (resolved WC3D_TILE_SIZE / WC3D_THREADS), so
+ * the fleet store can group runs by host.
+ */
+json::Value
+hostInfoJson()
+{
+    char name[256] = {};
+    if (::gethostname(name, sizeof(name) - 1) != 0)
+        std::snprintf(name, sizeof(name), "unknown");
+    json::Value host = json::Value::object();
+    host.set("hostname", json::Value::str(name));
+    host.set("hardwareThreads",
+             json::Value::number(static_cast<std::uint64_t>(
+                 std::thread::hardware_concurrency())));
+    host.set("tileSize",
+             json::Value::number(raster::resolveTileSize(0)));
+    host.set("threads",
+             json::Value::number(ThreadPool::configuredThreads()));
+    return host;
+}
+
 } // namespace
 
 RunMeta &
@@ -358,30 +411,6 @@ RunMeta::reset()
 }
 
 std::string
-metricsPath()
-{
-    return envString("WC3D_METRICS_OUT", "");
-}
-
-json::Value
-hostInfoJson()
-{
-    char name[256] = {};
-    if (::gethostname(name, sizeof(name) - 1) != 0)
-        std::snprintf(name, sizeof(name), "unknown");
-    json::Value host = json::Value::object();
-    host.set("hostname", json::Value::str(name));
-    host.set("hardwareThreads",
-             json::Value::number(static_cast<std::uint64_t>(
-                 std::thread::hardware_concurrency())));
-    host.set("tileSize",
-             json::Value::number(raster::resolveTileSize(0)));
-    host.set("threads",
-             json::Value::number(ThreadPool::configuredThreads()));
-    return host;
-}
-
-std::string
 hostFingerprint(const json::Value &doc)
 {
     const json::Value *host = doc.find("host");
@@ -394,28 +423,6 @@ hostFingerprint(const json::Value &doc)
     return format("%s/%llu", name->asString().c_str(),
                   static_cast<unsigned long long>(
                       hw && hw->isNumber() ? hw->asU64() : 0));
-}
-
-std::string
-gitDescribe()
-{
-    static const std::string kDescribe = [] {
-        std::string out = "unknown";
-        std::FILE *p =
-            ::popen("git describe --always --dirty 2>/dev/null", "r");
-        if (!p)
-            return out;
-        char buf[256];
-        std::string raw;
-        while (std::fgets(buf, sizeof(buf), p))
-            raw += buf;
-        int status = ::pclose(p);
-        std::string described = trim(raw);
-        if (status == 0 && !described.empty())
-            out = described;
-        return out;
-    }();
-    return kDescribe;
 }
 
 bool

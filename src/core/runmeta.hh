@@ -88,23 +88,9 @@ class RunMeta
     std::uint64_t _cacheMisses = 0;
 };
 
-/** The WC3D_METRICS_OUT path ("" when unset). */
-std::string metricsPath();
-
-/** `git describe --always --dirty` of the cwd, or "unknown". */
-std::string gitDescribe();
-
 /**
- * The manifest `host` block: hostname, hardware threads and the
- * machine-shaping knobs (resolved WC3D_TILE_SIZE / WC3D_THREADS).
- * Shared by the metrics and serve manifests so the fleet store can
- * group runs by host.
- */
-json::Value hostInfoJson();
-
-/**
- * "hostname/NT" fingerprint of a manifest's `host` block (any schema
- * that embeds hostInfoJson()), or "unknown" for pre-v1.1 documents.
+ * "hostname/NT" fingerprint of a manifest's `host` block, or
+ * "unknown" for pre-v1.1 documents.
  */
 std::string hostFingerprint(const json::Value &doc);
 

@@ -3,13 +3,11 @@
 #include <cctype>
 #include <cstdio>
 #include <map>
-#include <unistd.h>
 
 #include <chrono>
 
 #include "common/env.hh"
 #include "common/fs.hh"
-#include "common/hash.hh"
 #include "common/log.hh"
 #include "common/prof.hh"
 #include "common/strutil.hh"
@@ -79,46 +77,6 @@ putCache(std::string &out, const char *prefix,
 
 } // namespace
 
-std::uint64_t
-MicroSpec::cacheFingerprint() const
-{
-    // Canonical text over the statistic-affecting knobs, hashed with
-    // FNV-1a. The default shape maps to the empty string -> 0 so
-    // legacy cache filenames (and their contents) stay valid.
-    const gpu::GpuConfig def;
-    std::string canon;
-    auto knob = [&canon](const char *key, long long v, long long dflt) {
-        if (v != dflt)
-            canon += format("%s=%lld;", key, v);
-    };
-    knob("fb", frameBegin, 0);
-    knob("vc", config.vertexCacheEntries, def.vertexCacheEntries);
-    knob("hz", config.hzEnabled, def.hzEnabled);
-    knob("hzmm", config.hzMinMax, def.hzMinMax);
-    knob("cb", config.commandBytes, def.commandBytes);
-    auto surface = [&knob](const std::string &key,
-                           const frag::SurfaceCacheConfig &c,
-                           const frag::SurfaceCacheConfig &d) {
-        knob((key + ".w").c_str(), c.ways, d.ways);
-        knob((key + ".s").c_str(), c.sets, d.sets);
-        knob((key + ".b").c_str(), c.lineBytes, d.lineBytes);
-    };
-    surface("zc", config.zCache, def.zCache);
-    surface("cc", config.colorCache, def.colorCache);
-    const tex::TexCacheConfig &tc = config.textureCache;
-    const tex::TexCacheConfig &td = def.textureCache;
-    knob("t0.w", tc.l0Ways, td.l0Ways);
-    knob("t0.s", tc.l0Sets, td.l0Sets);
-    knob("t0.b", tc.l0Line, td.l0Line);
-    knob("t1.w", tc.l1Ways, td.l1Ways);
-    knob("t1.s", tc.l1Sets, td.l1Sets);
-    knob("t1.b", tc.l1Line, td.l1Line);
-    if (canon.empty())
-        return 0;
-    std::uint64_t h = fnv1a64(canon);
-    return h ? h : 1; // 0 is reserved for the default shape
-}
-
 int
 defaultMicroFrames()
 {
@@ -154,29 +112,11 @@ runApiLevel(const std::string &id, int frames)
 std::string
 cachePath(const std::string &id, int frames, int width, int height)
 {
-    MicroSpec spec;
-    spec.id = id;
-    spec.frames = frames;
-    spec.config.width = width;
-    spec.config.height = height;
-    return cachePath(spec);
-}
-
-std::string
-cachePath(const MicroSpec &spec)
-{
     std::string dir = envString("WC3D_CACHE_DIR", ".wc3d-cache");
     // Tile size and thread count do NOT key the cache: results are
     // bit-identical across both by construction.
-    // Non-default shapes (frame window, cache geometry, HZ mode...)
-    // get a fingerprint suffix; the default keeps the legacy filename.
-    std::uint64_t fp = spec.cacheFingerprint();
-    std::string suffix =
-        fp ? format("_s%016llx", static_cast<unsigned long long>(fp))
-           : std::string();
-    return format("%s/%s_f%d_%dx%d%s_v%d.txt", dir.c_str(),
-                  sanitize(spec.id).c_str(), spec.frames,
-                  spec.config.width, spec.config.height, suffix.c_str(),
+    return format("%s/%s_f%d_%dx%d_v%d.txt", dir.c_str(),
+                  sanitize(id).c_str(), frames, width, height,
                   kCacheSchema);
 }
 
@@ -254,21 +194,10 @@ saveMicroRun(const MicroRun &run, const std::string &path)
     return true;
 }
 
-bool
-loadMicroRun(MicroRun &run, const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    std::string content;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        content.append(buf, n);
-    std::fclose(f);
-    return decodeMicroRun(run, content);
-}
+namespace {
 
+/** Parse an encodeMicroRun() document (validates header and the #end
+ *  truncation marker). @return false on malformed input. */
 bool
 decodeMicroRun(MicroRun &run, const std::string &content)
 {
@@ -374,33 +303,34 @@ decodeMicroRun(MicroRun &run, const std::string &content)
     return true;
 }
 
+} // namespace
+
+bool
+loadMicroRun(MicroRun &run, const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return false;
+    std::string content;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        content.append(buf, n);
+    std::fclose(f);
+    return decodeMicroRun(run, content);
+}
+
 MicroRun
 runMicroarch(const std::string &id, int frames, int width, int height,
              bool allow_cache)
 {
-    MicroSpec spec;
-    spec.id = id;
-    spec.frames = frames;
-    spec.config.width = width;
-    spec.config.height = height;
-    return runMicroarch(spec, allow_cache);
-}
-
-MicroRun
-runMicroarch(const MicroSpec &spec, bool allow_cache,
-             const ProgressFn &progress)
-{
-    const std::string &id = spec.id;
-    const int frames = spec.frames;
-    const int width = spec.config.width;
-    const int height = spec.config.height;
     prof::ScopedProcess process(tracePid(id), id);
     WC3D_PROF_SCOPE("run.sim", id);
     auto start = std::chrono::steady_clock::now();
 
     bool cache_enabled =
         allow_cache && envInt("WC3D_NO_CACHE", 0) == 0;
-    std::string path = cachePath(spec);
+    std::string path = cachePath(id, frames, width, height);
 
     // Lock-free double check: the atomic write-then-rename in
     // saveMicroRun means a load either sees a complete file or none,
@@ -416,34 +346,21 @@ runMicroarch(const MicroSpec &spec, bool allow_cache,
             RunMeta::global().noteMicroRun(run, secondsSince(start),
                                            /*from_cache=*/true);
             RunMeta::global().writeIfRequested();
-            if (progress)
-                progress(frames, frames);
             return run;
         }
     }
     RunMeta::global().noteCacheLookup(false);
 
-    gpu::GpuSimulator sim(spec.config);
+    gpu::GpuConfig config;
+    config.width = width;
+    config.height = height;
+    gpu::GpuSimulator sim(config);
     api::Device device(workloads::gameProfile(id).apiKind);
     device.setSink(&sim);
     auto demo = workloads::makeTimedemo(id);
     inform("simulating %s for %d frames at %dx%d", id.c_str(), frames,
            width, height);
-    // Same structure as Timedemo::run (identical spans, identical
-    // statistics for frameBegin 0), opened up for the frame window and
-    // the per-frame progress callback.
-    {
-        WC3D_PROF_SCOPE("timedemo.setup");
-        demo->setup(device);
-    }
-    for (int f = 0; f < frames; ++f) {
-        {
-            WC3D_PROF_SCOPE("frame", format("%d", spec.frameBegin + f));
-            demo->renderFrame(device, spec.frameBegin + f);
-        }
-        if (progress)
-            progress(f + 1, frames);
-    }
+    demo->run(device, frames);
 
     run = MicroRun();
     run.id = id;
@@ -464,7 +381,6 @@ runMicroarch(const MicroSpec &spec, bool allow_cache,
             warn("could not create run cache dir '%s'", dir.c_str());
         else
             saveMicroRun(run, path); // warns with the faultio reason
-
     }
     RunMeta::global().noteMicroRun(run, secondsSince(start),
                                    /*from_cache=*/false);

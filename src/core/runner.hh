@@ -23,12 +23,10 @@
 #ifndef WC3D_CORE_RUNNER_HH
 #define WC3D_CORE_RUNNER_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "api/apistats.hh"
-#include "gpu/config.hh"
 #include "gpu/pipeline.hh"
 #include "gpu/simulator.hh"
 #include "memory/cache.hh"
@@ -100,64 +98,22 @@ MicroRun runMicroarch(const std::string &id, int frames,
                       int width = 1024, int height = 768,
                       bool allow_cache = true);
 
-/**
- * Full description of one microarchitectural run: which timedemo,
- * which frame window, and the complete GpuConfig. This is the unit of
- * work the serve daemon ships to worker processes; a spec-driven run
- * is bit-identical to the classic runMicroarch() call when the spec
- * has the default shape (frameBegin 0, default config).
- */
-struct MicroSpec
-{
-    std::string id;     ///< timedemo id (workloads::isTimedemoId)
-    int frameBegin = 0; ///< first frame rendered
-    int frames = 0;     ///< frames rendered from frameBegin on
-    gpu::GpuConfig config; ///< width/height are taken from here
-
-    /**
-     * Hash over frameBegin and every statistic-affecting config field
-     * (caches, HZ mode, vertex-cache entries, command overhead).
-     * tileSize and the throughput parameters are excluded: results are
-     * bit-identical across them, so sharing one cache entry maximizes
-     * dedupe. @return 0 exactly for the default shape, keeping legacy
-     * cache filenames stable.
-     */
-    std::uint64_t cacheFingerprint() const;
-};
-
-/** Called after each simulated frame of a spec-driven run. */
-using ProgressFn = std::function<void(int framesDone, int framesTotal)>;
-
-/**
- * Run @p spec through the full GPU simulator, using the disk cache
- * when permitted; @p progress (when set) is invoked after every
- * rendered frame (and once for a cache hit).
- */
-MicroRun runMicroarch(const MicroSpec &spec, bool allow_cache = true,
-                      const ProgressFn &progress = {});
-
 /** Convenience: microarch runs for the three simulated OGL games. */
 std::vector<MicroRun> runSimulatedGames(int frames);
 
 /** Convenience: API runs for all twelve games. */
 std::vector<ApiRun> runAllGamesApi(int frames);
 
-/** @name Cache internals (exposed for tests and the serve daemon) */
+/** @name Cache internals (exposed for tests and wc3d-bench) */
 /// @{
 std::string cachePath(const std::string &id, int frames, int width,
                       int height);
-/** Cache path for @p spec; non-default shapes get a fingerprint
- *  suffix so differently-configured runs never collide. */
-std::string cachePath(const MicroSpec &spec);
 bool saveMicroRun(const MicroRun &run, const std::string &path);
 bool loadMicroRun(MicroRun &run, const std::string &path);
-/** Serialize @p run to the cache text format (the wire format the
- *  serve daemon returns results in; equality of two encodings is the
- *  bit-identity check). */
+/** Serialize @p run to the cache text format (the golden-statistics
+ *  files and the wc3d-bench digests are this text; equality of two
+ *  encodings is the bit-identity check). */
 std::string encodeMicroRun(const MicroRun &run);
-/** Parse an encodeMicroRun() document (validates header and the #end
- *  truncation marker). @return false on malformed input. */
-bool decodeMicroRun(MicroRun &run, const std::string &text);
 /// @}
 
 } // namespace wc3d::core

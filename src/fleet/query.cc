@@ -52,34 +52,6 @@ flattenMetrics(const json::Value &doc,
 }
 
 void
-flattenServe(const json::Value &doc,
-             std::vector<std::pair<std::string, double>> &out)
-{
-    static const char *kCounters[] = {
-        "submitted", "rejected",      "done",       "failed",
-        "retries",   "timeouts",     "worker_deaths", "cache_hits",
-        "jobs_evicted",
-    };
-    for (const char *name : kCounters) {
-        const json::Value *v = doc.find(name);
-        if (v && v->isNumber())
-            put(out, std::string("serve.") + name, v->asDouble());
-    }
-    const json::Value *latency = doc.find("latency");
-    if (latency && latency->isObject()) {
-        for (const auto &kv : latency->members()) {
-            for (const char *p : {"p50_ms", "p90_ms", "p99_ms"}) {
-                const json::Value *v = kv.second.find(p);
-                if (v && v->isNumber())
-                    put(out,
-                        "serve.latency." + kv.first + "." + p,
-                        v->asDouble());
-            }
-        }
-    }
-}
-
-void
 flattenBench(const json::Value &doc,
              std::vector<std::pair<std::string, double>> &out)
 {
@@ -149,9 +121,6 @@ flattenCounters(const json::Value &doc, Kind kind)
     switch (kind) {
       case Kind::Metrics:
         flattenMetrics(doc, out);
-        break;
-      case Kind::Serve:
-        flattenServe(doc, out);
         break;
       case Kind::Bench:
         flattenBench(doc, out);

@@ -27,14 +27,13 @@ struct StageBreakdown
 };
 
 /** Phases of a metrics document, descending by seconds. Empty for
- *  serve/bench documents (they carry no phase clock). */
+ *  bench documents (they carry no phase clock). */
 std::vector<StageBreakdown> stageBreakdown(const json::Value &doc);
 
 /**
  * Flatten @p doc into comparable (name, value) pairs, sorted by name:
  *  - metrics: every registry counter, plus derived
  *    "<...>.cache.<c>.hitRate" rates (hits/accesses);
- *  - serve:   lifetime counters under "serve.";
  *  - bench:   bench wall clocks and sweep frames/sec under "bench.".
  */
 std::vector<std::pair<std::string, double>>

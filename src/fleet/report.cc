@@ -108,7 +108,7 @@ renderTrajectory(std::string &html,
 {
     std::vector<const LoadedEntry *> points;
     for (const LoadedEntry &e : loaded) {
-        if (e.index->kind != Kind::Serve && e.totalSeconds > 0.0)
+        if (e.totalSeconds > 0.0)
             points.push_back(&e);
     }
     sectionHeading(html, "Perf trajectory");
@@ -336,57 +336,6 @@ renderSweep(std::string &html,
     html += "</svg>\n";
 }
 
-void
-renderServe(std::string &html,
-            const std::vector<LoadedEntry> &loaded)
-{
-    std::vector<const LoadedEntry *> rows;
-    for (const LoadedEntry &e : loaded) {
-        if (e.index->kind == Kind::Serve)
-            rows.push_back(&e);
-    }
-    if (rows.empty())
-        return;
-    sectionHeading(html, "Serve-daemon runs");
-    html += "<table><tr><th>#</th><th>git</th><th>done</th>"
-            "<th>failed</th><th>retries</th><th>timeouts</th>"
-            "<th>worker deaths</th><th>cache hits</th>"
-            "<th>p50 / p99 (done)</th></tr>\n";
-    for (const LoadedEntry *e : rows) {
-        auto num = [&](const char *name) -> std::string {
-            const json::Value *v = e->doc.find(name);
-            return v && v->isNumber()
-                       ? format("%llu", static_cast<unsigned long long>(
-                                            v->asU64()))
-                       : "-";
-        };
-        std::string lat = "-";
-        const json::Value *latency = e->doc.find("latency");
-        const json::Value *done =
-            latency ? latency->find("done") : nullptr;
-        if (done) {
-            const json::Value *p50 = done->find("p50_ms");
-            const json::Value *p99 = done->find("p99_ms");
-            if (p50 && p50->isNumber() && p99 && p99->isNumber())
-                lat = format("%llu ms / %llu ms",
-                             static_cast<unsigned long long>(
-                                 p50->asU64()),
-                             static_cast<unsigned long long>(
-                                 p99->asU64()));
-        }
-        html += format(
-            "<tr><td>%llu</td><td>%s</td><td>%s</td><td>%s</td>"
-            "<td>%s</td><td>%s</td><td>%s</td><td>%s</td>"
-            "<td>%s</td></tr>\n",
-            static_cast<unsigned long long>(e->index->seq),
-            htmlEscape(e->index->git).c_str(), num("done").c_str(),
-            num("failed").c_str(), num("retries").c_str(),
-            num("timeouts").c_str(), num("worker_deaths").c_str(),
-            num("cache_hits").c_str(), lat.c_str());
-    }
-    html += "</table>\n";
-}
-
 } // namespace
 
 std::string
@@ -507,7 +456,6 @@ renderHtmlReport(const FleetStore &store, FleetError *err)
     renderTrajectory(html, loaded);
     renderStages(html, loaded);
     renderSweep(html, loaded);
-    renderServe(html, loaded);
 
     html += "</body>\n</html>\n";
     return html;

@@ -75,24 +75,6 @@ metricsDemos(const json::Value &doc)
     return demos;
 }
 
-std::vector<std::string>
-serveDemos(const json::Value &doc)
-{
-    std::vector<std::string> demos;
-    const json::Value *jobs = doc.find("jobs");
-    if (!jobs || !jobs->isArray())
-        return demos;
-    for (const json::Value &job : jobs->items()) {
-        const json::Value *demo = job.find("demo");
-        if (!demo || !demo->isString())
-            continue;
-        if (std::find(demos.begin(), demos.end(), demo->asString()) ==
-            demos.end())
-            demos.push_back(demo->asString());
-    }
-    return demos;
-}
-
 std::string
 docGit(const json::Value &doc, Kind kind)
 {
@@ -120,14 +102,6 @@ describeDocument(const json::Value &doc, Kind kind)
         e.config = metricsConfigFingerprint(doc);
         e.demos = metricsDemos(doc);
         break;
-      case Kind::Serve: {
-        json::Value knobs = json::Value::object();
-        knobs.set("workers", member(doc, "workers"));
-        knobs.set("queue_bound", member(doc, "queue_bound"));
-        e.config = contentHash(knobs.serialize(0));
-        e.demos = serveDemos(doc);
-        break;
-      }
       case Kind::Bench: {
         json::Value knobs = json::Value::object();
         const json::Value *sweep = doc.find("speed_simulation");
@@ -143,7 +117,7 @@ describeDocument(const json::Value &doc, Kind kind)
             if (game && game->isString())
                 e.demos.push_back(game->asString());
         }
-        // BENCH_speed.json's host block predates hostInfoJson(); fall
+        // BENCH_speed.json's host block predates the metrics one; fall
         // back to its cpu/threads shape for a usable fingerprint.
         if (e.host == "unknown") {
             const json::Value *host = doc.find("host");
@@ -207,8 +181,6 @@ entryFromJson(const json::Value &v, IndexEntry &out,
     out.blob = blob->asString();
     if (kind->asString() == kindName(Kind::Metrics))
         out.kind = Kind::Metrics;
-    else if (kind->asString() == kindName(Kind::Serve))
-        out.kind = Kind::Serve;
     else if (kind->asString() == kindName(Kind::Bench))
         out.kind = Kind::Bench;
     else
@@ -242,8 +214,6 @@ kindName(Kind kind)
     switch (kind) {
       case Kind::Metrics:
         return "metrics";
-      case Kind::Serve:
-        return "serve";
       case Kind::Bench:
         return "bench";
     }
@@ -285,12 +255,6 @@ classifyDocument(const json::Value &doc, Kind *kind,
         *kind = Kind::Metrics;
         return true;
     }
-    if (tag == "wc3d-serve-metrics-v1") {
-        if (!validateServeMetrics(doc, &error))
-            return bad(error);
-        *kind = Kind::Serve;
-        return true;
-    }
     if (tag == "wc3d-bench-speed-v1") {
         if (!validateBenchSpeed(doc, &error))
             return bad(error);
@@ -298,63 +262,6 @@ classifyDocument(const json::Value &doc, Kind *kind,
         return true;
     }
     return bad(format("unknown schema tag '%s'", tag.c_str()));
-}
-
-bool
-validateServeMetrics(const json::Value &doc, std::string *error)
-{
-    auto fail = [&](const std::string &why) {
-        if (error)
-            *error = "serve metrics: " + why;
-        return false;
-    };
-    if (!doc.isObject())
-        return fail("document is not an object");
-    const json::Value *schema = doc.find("schema");
-    if (!schema || !schema->isString() ||
-        schema->asString() != "wc3d-serve-metrics-v1")
-        return fail("missing or wrong schema tag "
-                    "(want 'wc3d-serve-metrics-v1')");
-    static const char *kCounters[] = {
-        "workers",  "queue_bound",   "submitted",  "rejected",
-        "done",     "failed",        "retries",    "timeouts",
-        "worker_deaths", "cache_hits", "jobs_evicted",
-    };
-    for (const char *name : kCounters) {
-        const json::Value *v = doc.find(name);
-        if (!v || !v->isNumber())
-            return fail(format("counter '%s' missing", name));
-    }
-    const json::Value *jobs = doc.find("jobs");
-    if (!jobs || !jobs->isArray())
-        return fail("missing jobs array");
-    for (std::size_t i = 0; i < jobs->size(); ++i) {
-        const json::Value &job = jobs->at(i);
-        const json::Value *id = job.find("id");
-        const json::Value *demo = job.find("demo");
-        const json::Value *state = job.find("state");
-        if (!job.isObject() || !id || !id->isNumber() || !demo ||
-            !demo->isString() || !state || !state->isString())
-            return fail(format("job %zu lacks id/demo/state", i));
-        if (state->asString() != "done" &&
-            state->asString() != "failed")
-            return fail(format("job %zu: unknown state '%s'", i,
-                               state->asString().c_str()));
-    }
-    const json::Value *latency = doc.find("latency");
-    if (latency) {
-        if (!latency->isObject())
-            return fail("latency is not an object");
-        for (const auto &kv : latency->members()) {
-            const json::Value *count = kv.second.find("count");
-            const json::Value *p50 = kv.second.find("p50_ms");
-            if (!kv.second.isObject() || !count ||
-                !count->isNumber() || !p50 || !p50->isNumber())
-                return fail(format("latency.%s lacks count/p50_ms",
-                                   kv.first.c_str()));
-        }
-    }
-    return true;
 }
 
 bool

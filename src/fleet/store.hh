@@ -2,8 +2,7 @@
  * @file
  * The fleet metrics store: a content-addressed, insertion-ordered
  * on-disk database of observability artifacts — `wc3d-metrics-v1`
- * manifests (WC3D_METRICS_OUT), `wc3d-serve-metrics-v1` manifests
- * (the serving daemon) and `wc3d-bench-speed-v1` documents
+ * manifests (WC3D_METRICS_OUT) and `wc3d-bench-speed-v1` documents
  * (BENCH_speed.json). One run = one immutable blob; the index keys
  * every blob by (git describe, config fingerprint, demo set, host
  * fingerprint) so fleet-level questions — "did the texture-cache hit
@@ -55,7 +54,6 @@ struct FleetError
 enum class Kind
 {
     Metrics, ///< wc3d-metrics-v1 (core/runmeta)
-    Serve,   ///< wc3d-serve-metrics-v1 (serve/daemon)
     Bench,   ///< wc3d-bench-speed-v1 (BENCH_speed.json)
 };
 
@@ -98,8 +96,8 @@ class FleetStore
     /** Parse, validate, classify and store one artifact file. */
     IngestResult ingestFile(const std::string &path, FleetError *err);
 
-    /** Same, for an already-parsed document (the serving daemon drops
-     *  its manifest in directly). @p source is informational. */
+    /** Same, for an already-parsed document. @p source is
+     *  informational. */
     IngestResult ingestDocument(const json::Value &doc,
                                 const std::string &source,
                                 FleetError *err);
@@ -157,9 +155,6 @@ std::string contentHash(const std::string &bytes);
  */
 bool classifyDocument(const json::Value &doc, Kind *kind,
                       std::string *reason);
-
-/** Structural validation of a wc3d-serve-metrics-v1 manifest. */
-bool validateServeMetrics(const json::Value &doc, std::string *error);
 
 /** Structural validation of a wc3d-bench-speed-v1 document. */
 bool validateBenchSpeed(const json::Value &doc, std::string *error);

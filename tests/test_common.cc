@@ -423,11 +423,11 @@ TEST(JsonFuzz, RawControlCharactersInStringsAreRejected)
 
 // --- faultio: injected filesystem failure modes --------------------
 //
-// Every durable write (serve journal, run cache, fleet index, metrics
-// manifests) funnels through faultio::writeAll/syncFd, so injecting
-// failures here exercises the recovery paths of all of them. The plan
-// is process-global state: each test restores the no-fault plan
-// before returning.
+// Every durable write (run cache, fleet index, metrics manifests)
+// funnels through faultio::writeAll/syncFd, so injecting failures here
+// exercises the recovery paths of all of them. The plan is
+// process-global state: each test restores the no-fault plan before
+// returning.
 
 namespace {
 
@@ -545,21 +545,4 @@ TEST(FaultIo, AtomicWriteFileLeavesOldContentIntactOnFailure)
     EXPECT_EQ(readAllOf(path), "replacement");
     std::remove(path.c_str());
     ::rmdir(dir.c_str());
-}
-
-TEST(FaultIo, EnvKnobsLoadAndReset)
-{
-    FaultPlanGuard guard;
-    setenv("WC3D_FAULT_WRITE_FAIL_NTH", "7", 1);
-    setenv("WC3D_FAULT_ENOSPC", "1", 1);
-    faultio::resetFromEnv();
-    EXPECT_EQ(faultio::plan().failNthWrite, 7u);
-    EXPECT_TRUE(faultio::plan().allEnospc);
-    EXPECT_EQ(faultio::plan().shortNthWrite, 0u);
-    EXPECT_EQ(faultio::writesAttempted(), 0u);
-    unsetenv("WC3D_FAULT_WRITE_FAIL_NTH");
-    unsetenv("WC3D_FAULT_ENOSPC");
-    faultio::resetFromEnv();
-    EXPECT_EQ(faultio::plan().failNthWrite, 0u);
-    EXPECT_FALSE(faultio::plan().allEnospc);
 }

@@ -145,6 +145,9 @@ TEST(Runner, CachePathEncodesKey)
     EXPECT_NE(p.find("doom3_trdemo2"), std::string::npos);
     EXPECT_NE(p.find("f7"), std::string::npos);
     EXPECT_NE(p.find("640x480"), std::string::npos);
+    // Cached files from earlier builds stay valid: the name is exactly
+    // <sanitized id>_f<frames>_<w>x<h>_v<schema>.txt.
+    EXPECT_EQ(p.substr(p.rfind('/') + 1), "doom3_trdemo2_f7_640x480_v5.txt");
 }
 
 TEST(Tables, WorkloadsListsAllTwelve)

@@ -108,44 +108,6 @@ metricsDoc(const std::string &git, std::uint64_t indices,
     return doc;
 }
 
-/** Minimal valid wc3d-serve-metrics-v1 manifest. */
-json::Value
-serveDoc(std::uint64_t done)
-{
-    json::Value doc = json::Value::object();
-    doc.set("schema", json::Value::str("wc3d-serve-metrics-v1"));
-    doc.set("git", json::Value::str("v1-serve"));
-    const struct
-    {
-        const char *name;
-        std::uint64_t value;
-    } counters[] = {
-        {"workers", 2},        {"queue_bound", 64},
-        {"submitted", done},   {"rejected", 0},
-        {"done", done},        {"failed", 0},
-        {"retries", 1},        {"timeouts", 0},
-        {"worker_deaths", 0},  {"cache_hits", 0},
-        {"jobs_evicted", 0},
-    };
-    for (const auto &c : counters)
-        doc.set(c.name, json::Value::number(c.value));
-    json::Value latency = json::Value::object();
-    json::Value done_lat = json::Value::object();
-    done_lat.set("count", json::Value::number(done));
-    done_lat.set("p50_ms", json::Value::number(std::uint64_t(15)));
-    done_lat.set("p99_ms", json::Value::number(std::uint64_t(63)));
-    latency.set("done", std::move(done_lat));
-    doc.set("latency", std::move(latency));
-    json::Value jobs = json::Value::array();
-    json::Value job = json::Value::object();
-    job.set("id", json::Value::number(std::uint64_t(1)));
-    job.set("demo", json::Value::str("quake4/demo4"));
-    job.set("state", json::Value::str("done"));
-    jobs.push(std::move(job));
-    doc.set("jobs", std::move(jobs));
-    return doc;
-}
-
 /** Minimal valid wc3d-bench-speed-v1 document. */
 json::Value
 benchDoc(double wall, double fps4)
@@ -296,25 +258,34 @@ TEST(Fleet, ClassifiesAllThreeArtifactKinds)
     ASSERT_EQ(store.ingestDocument(metricsDoc("g", 1, 1, 1), "m", &err),
               FleetStore::IngestResult::Added)
         << err.describe();
-    ASSERT_EQ(store.ingestDocument(serveDoc(5), "s", &err),
-              FleetStore::IngestResult::Added)
-        << err.describe();
     ASSERT_EQ(store.ingestDocument(benchDoc(10.0, 40.0), "b", &err),
               FleetStore::IngestResult::Added)
         << err.describe();
-    ASSERT_EQ(store.entries().size(), 3u);
+    ASSERT_EQ(store.entries().size(), 2u);
     EXPECT_EQ(store.entries()[0].kind, Kind::Metrics);
-    EXPECT_EQ(store.entries()[1].kind, Kind::Serve);
-    EXPECT_EQ(store.entries()[2].kind, Kind::Bench);
-    // Serve demos come from the job list, bench from the sweep game;
+    EXPECT_EQ(store.entries()[1].kind, Kind::Bench);
+    // Metrics demos come from the run list, bench from the sweep game;
     // the bench host falls back to its cpu/threads block.
+    ASSERT_EQ(store.entries()[0].demos.size(), 1u);
+    EXPECT_EQ(store.entries()[0].demos[0], "doom3/trdemo2");
     ASSERT_EQ(store.entries()[1].demos.size(), 1u);
-    EXPECT_EQ(store.entries()[1].demos[0], "quake4/demo4");
-    ASSERT_EQ(store.entries()[2].demos.size(), 1u);
-    EXPECT_EQ(store.entries()[2].demos[0], "doom3/trdemo2");
-    EXPECT_EQ(store.entries()[2].host, "test-cpu/8");
-    EXPECT_EQ(store.entry(2)->git, "v1-serve");
+    EXPECT_EQ(store.entries()[1].demos[0], "doom3/trdemo2");
+    EXPECT_EQ(store.entries()[1].host, "test-cpu/8");
+    EXPECT_EQ(store.entry(2)->git, "v1-bench");
     EXPECT_EQ(store.entry(99), nullptr);
+
+    // The third tag, the retired serve-daemon manifest, classifies as
+    // unknown even when it carries every field it once needed.
+    json::Value serve;
+    std::string error;
+    ASSERT_TRUE(json::parse("{\"schema\":\"wc3d-serve-metrics-v1\","
+                            "\"git\":\"g\",\"jobs\":[]}",
+                            serve, &error));
+    Kind kind = Kind::Metrics;
+    std::string reason;
+    EXPECT_FALSE(classifyDocument(serve, &kind, &reason));
+    EXPECT_NE(reason.find("unknown schema tag"), std::string::npos)
+        << reason;
     removeStore(dir);
 }
 
@@ -330,8 +301,8 @@ TEST(Fleet, StageBreakdownSortsAndFractions)
     EXPECT_EQ(stages[0].calls, 10u);
     EXPECT_EQ(stages[1].name, "shade");
     EXPECT_DOUBLE_EQ(stages[1].fraction, 0.25);
-    // Serve documents carry no phase clock.
-    EXPECT_TRUE(stageBreakdown(serveDoc(1)).empty());
+    // Bench documents carry no phase clock.
+    EXPECT_TRUE(stageBreakdown(benchDoc(10.0, 40.0)).empty());
 }
 
 TEST(Fleet, FlattenDerivesRatesAndCoversEveryKind)
@@ -347,18 +318,6 @@ TEST(Fleet, FlattenDerivesRatesAndCoversEveryKind)
         }
     }
     EXPECT_TRUE(found_rate);
-
-    auto serve = flattenCounters(serveDoc(5), Kind::Serve);
-    bool found_done = false, found_p50 = false;
-    for (const auto &kv : serve) {
-        if (kv.first == "serve.done" && kv.second == 5.0)
-            found_done = true;
-        if (kv.first == "serve.latency.done.p50_ms" &&
-            kv.second == 15.0)
-            found_p50 = true;
-    }
-    EXPECT_TRUE(found_done);
-    EXPECT_TRUE(found_p50);
 
     auto bench = flattenCounters(benchDoc(10.0, 40.0), Kind::Bench);
     bool found_wall = false, found_fps = false;
@@ -435,7 +394,7 @@ TEST(Fleet, CheckDetectsCorruptBlobsAndOrphans)
     ASSERT_TRUE(store.open(&err));
     ASSERT_EQ(store.ingestDocument(metricsDoc("v1", 1, 1, 1), "u", &err),
               FleetStore::IngestResult::Added);
-    ASSERT_EQ(store.ingestDocument(serveDoc(3), "u", &err),
+    ASSERT_EQ(store.ingestDocument(benchDoc(10.0, 40.0), "u", &err),
               FleetStore::IngestResult::Added);
 
     std::vector<std::string> problems;
@@ -471,7 +430,7 @@ TEST(Fleet, RepairQuarantinesEvidenceAndDropsBrokenEntries)
     ASSERT_TRUE(store.open(&err));
     ASSERT_EQ(store.ingestDocument(metricsDoc("v1", 1, 1, 1), "u", &err),
               FleetStore::IngestResult::Added);
-    ASSERT_EQ(store.ingestDocument(serveDoc(3), "u", &err),
+    ASSERT_EQ(store.ingestDocument(metricsDoc("v2", 2, 1, 2), "u", &err),
               FleetStore::IngestResult::Added);
     ASSERT_EQ(store.ingestDocument(benchDoc(10.0, 40.0), "u", &err),
               FleetStore::IngestResult::Added);
@@ -583,13 +542,23 @@ TEST(Fleet, OpenRejectsCorruptIndexButNotAbsentOne)
     ASSERT_TRUE(json::writeFileAtomic(
         dir + "/index.json",
         "{\"schema\":\"wc3d-fleet-index-v1\",\"entries\":["
-        "{\"seq\":2,\"kind\":\"serve\",\"blob\":"
+        "{\"seq\":2,\"kind\":\"metrics\",\"blob\":"
         "\"0123456789abcdef\"},"
-        "{\"seq\":1,\"kind\":\"serve\",\"blob\":"
+        "{\"seq\":1,\"kind\":\"metrics\",\"blob\":"
         "\"0123456789abcdef\"}]}",
         &error));
     EXPECT_FALSE(store.open(&err));
     EXPECT_NE(err.reason.find("out of order"), std::string::npos)
+        << err.reason;
+    // So is an entry of a kind the store no longer knows.
+    ASSERT_TRUE(json::writeFileAtomic(
+        dir + "/index.json",
+        "{\"schema\":\"wc3d-fleet-index-v1\",\"entries\":["
+        "{\"seq\":1,\"kind\":\"serve\",\"blob\":"
+        "\"0123456789abcdef\"}]}",
+        &error));
+    EXPECT_FALSE(store.open(&err));
+    EXPECT_NE(err.reason.find("unknown"), std::string::npos)
         << err.reason;
     removeStore(dir);
 }
@@ -607,7 +576,7 @@ TEST(Fleet, HtmlReportIsSelfContainedAndEscaped)
     ASSERT_EQ(store.ingestDocument(metricsDoc("v2", 900, 80, 100), "u",
                                    &err),
               FleetStore::IngestResult::Added);
-    ASSERT_EQ(store.ingestDocument(serveDoc(7), "u", &err),
+    ASSERT_EQ(store.ingestDocument(benchDoc(11.0, 36.0), "u", &err),
               FleetStore::IngestResult::Added);
     ASSERT_EQ(store.ingestDocument(benchDoc(12.5, 32.0), "u", &err),
               FleetStore::IngestResult::Added);
@@ -620,7 +589,7 @@ TEST(Fleet, HtmlReportIsSelfContainedAndEscaped)
     EXPECT_EQ(html.find("<script"), std::string::npos);
     EXPECT_EQ(html.find("http://"), std::string::npos);
     EXPECT_EQ(html.find("https://"), std::string::npos);
-    // Every section rendered: trajectory, stages, sweep, serve.
+    // Every section rendered: trajectory, stages, sweep.
     EXPECT_NE(html.find("raster"), std::string::npos);
     EXPECT_NE(html.find("doom3/trdemo2"), std::string::npos);
     // The hostile git string arrived escaped.

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "common/fs.hh"
-#include "common/hash.hh"
 #include "core/runner.hh"
 
 using namespace wc3d;
@@ -260,18 +259,4 @@ TEST(RunnerCache, MicroarchCreatesNestedCacheDir)
     EXPECT_EQ(cached.counters.rasterFragments,
               run.counters.rasterFragments);
     unsetenv("WC3D_CACHE_DIR");
-}
-
-TEST(RunnerCache, FingerprintIsZeroOnlyForTheDefaultShape)
-{
-    // The default shape keeps the plain cache filename; any other
-    // shape is FNV-1a 64 over its canonical knob text.
-    MicroSpec spec;
-    spec.id = "doom3/trdemo2";
-    spec.frames = 2;
-    EXPECT_EQ(spec.cacheFingerprint(), 0u);
-    spec.config.tileSize = 64; // excluded: results do not depend on it
-    EXPECT_EQ(spec.cacheFingerprint(), 0u);
-    spec.frameBegin = 1;
-    EXPECT_EQ(spec.cacheFingerprint(), fnv1a64("fb=1;"));
 }

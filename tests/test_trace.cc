@@ -550,6 +550,10 @@ TEST(TraceFuzz, SeededMutationsNeverCrashAndAlwaysExplain)
           }
         }
 
+        // Unlink first: on ext4 (auto_da_alloc) truncating and
+        // rewriting the same file flushes it on close, and those
+        // flushes were nearly all of this test's run time.
+        std::remove(path.c_str());
         writeFileBytes(path, bytes);
         TraceReader reader(path);
         std::uint64_t iterations = 0;
